@@ -55,15 +55,6 @@ LaplacianSolverOptions solver_options() {
   LaplacianSolverOptions options;
   options.tolerance = 1e-6;
   options.base_size = 40;
-  // Chebyshev with an rhs-independent λ_max estimate: the warm entry reuses
-  // the eigenbounds across the query stream (skipping the charged power
-  // iterations from the second solve on) while staying bit-identical to the
-  // cold stacks, which compute the same operator-only estimate per query.
-  options.outer = OuterIteration::kChebyshev;
-  options.rhs_independent_eigenbounds = true;
-  // The scripted x10 jolt leaves one edge far off the preconditioner's
-  // weight profile; Chebyshev needs ~10^3 iterations there at full size.
-  options.max_outer_iterations = 4000;
   return options;
 }
 
@@ -138,8 +129,8 @@ int main(int argc, char** argv) {
     // Warm serving: one cache entry, built (and charged) once, then queried.
     // Two warm modes, both bit-identical to the cold solves:
     //  - solo: one entry.solve() per arriving query. Skips the per-call
-    //    shortcut-construction charge and the per-query Chebyshev power
-    //    iteration; still pays each query's data movement in full.
+    //    shortcut-construction charge; still pays each query's data movement
+    //    in full.
     //  - batch: the entry's SolveSession fans the stream out through the
     //    batched multi-RHS path (docs/BATCHING.md), so the shared charges
     //    pipeline round-robin on the entry's ledger. This is the serving
@@ -295,10 +286,10 @@ int main(int argc, char** argv) {
                   "(docs/CACHING.md promises >= 60%)");
   footnote(
       "Expected shape: solo warm solves save the per-call shortcut "
-      "construction the CONGEST cold path re-pays inside every PA call (plus "
-      "the per-query Chebyshev power iteration); batched warm serving "
-      "additionally pipelines the stream through the entry's session and "
-      "drops >= 60% below cold (the docs/CACHING.md bar; break-even q = "
+      "construction the CONGEST cold path re-pays inside every PA call; "
+      "batched warm serving additionally pipelines the stream through the "
+      "entry's session and drops >= 60% below cold (the docs/CACHING.md bar; "
+      "break-even q = "
       "build rounds amortized against per-query batch savings). Solutions "
       "are bit-identical in all three modes; only charged rounds move. The "
       "update ladder classifies uniform scaling as an exact rescale, "

@@ -205,7 +205,7 @@ inline std::string recovery_cell(const RecoveryCounters& c) {
   append(c.rebuilds, 'b');
   append(c.degradations, 'd');
   append(c.checkpoints_restored, 'c');
-  append(c.watchdog_restarts + c.watchdog_rebounds, 'w');
+  append(c.watchdog_restarts, 'w');
   return out;
 }
 

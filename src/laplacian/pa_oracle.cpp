@@ -13,6 +13,7 @@ namespace dls {
 
 CongestedPaOracle::InstanceId CongestedPaOracle::prepare(const PartCollection& pc) {
   DLS_REQUIRE(is_valid_part_collection(graph_, pc), "invalid part collection");
+  if (pa_label_.empty()) pa_label_ = name() + "-pa";
   instances_.push_back({pc, congestion(graph_, pc), false, {}});
   return instances_.size() - 1;
 }

@@ -181,12 +181,11 @@ class CongestedPaOracle {
     Measured cost;
   };
   /// Ledger label shared by every per-call charge; name() is fixed for the
-  /// oracle's lifetime, so build it once instead of per PA call.
-  const std::string& pa_label() const {
-    if (pa_label_.empty()) pa_label_ = name() + "-pa";
-    return pa_label_;
-  }
-  mutable std::string pa_label_;
+  /// oracle's lifetime, so build it once instead of per PA call. Set by
+  /// prepare(), which precedes every charge: the const charge paths that
+  /// batch slots run concurrently only read it.
+  const std::string& pa_label() const { return pa_label_; }
+  std::string pa_label_;
   /// Local rounds one call charges under the current charging mode.
   std::uint64_t effective_local(const Prepared& prepared) const {
     const Measured& c = prepared.cost;

@@ -16,6 +16,7 @@ DistributedLaplacianSolver::DistributedLaplacianSolver(
   const Graph& g = oracle_.graph();
   DLS_REQUIRE(is_connected(g), "Laplacian solver requires a connected graph");
   DLS_REQUIRE(options_.tolerance > 0, "tolerance must be positive");
+  DLS_REQUIRE(options_.max_levels >= 1, "max_levels must be at least 1");
 
   // Global 1-congested instance used by every inner product.
   {
@@ -529,168 +530,6 @@ void DistributedLaplacianSolver::solve_level(SolveContext& ctx,
   }
 }
 
-void DistributedLaplacianSolver::solve_top_chebyshev(
-    SolveContext& ctx, const Vec& b, Vec& x_out, std::size_t* iterations_out,
-    std::vector<double>* history, NumericalWatchdog* wd) {
-  const std::size_t n = levels_[0].minor.num_nodes;
-  SolveWorkspace& ws = ctx_ws(ctx);
-  Tracer* tracer = Tracer::ambient();
-  ScopedSpan cheb_span(tracer, "solver/chebyshev", SpanKind::kLevel);
-  cheb_span.counter("level", 0);
-  WorkspaceLease rhs_l = ws.acquire_scratch(0);
-  Vec& rhs = *rhs_l;
-  rhs = b;
-  project_mean_zero(rhs);
-  Vec& x = x_out;
-  x.assign(n, 0.0);
-  const double b_norm = std::sqrt(charged_dot(ctx, rhs, rhs));
-  if (iterations_out != nullptr) *iterations_out = 0;
-  if (b_norm == 0.0) return;
-
-  WorkspaceLease r_l = ws.acquire_scratch(n);
-  WorkspaceLease z_l = ws.acquire_scratch(n);
-  WorkspaceLease p_l = ws.acquire_scratch(n);
-  WorkspaceLease ax_l = ws.acquire_scratch(n);  // matvec temp
-  Vec& r = *r_l;
-  Vec& z = *z_l;
-  Vec& p = *p_l;
-  Vec& ax = *ax_l;
-
-  // Power iteration on M⁻¹L for λ_max (every apply is fully charged); the
-  // chain is built so that λ_min(M⁻¹L) ≳ 1, and we pad both ends for safety.
-  const auto apply_ml_into = [&](const Vec& v, Vec& out) {
-    apply_matvec_into(ctx, 0, v, ax);
-    project_mean_zero(ax);
-    apply_preconditioner_into(ctx, 0, ax, out, ws);
-    project_mean_zero(out);
-  };
-  // `seed_norm` is passed in (always already known from a prior charged dot)
-  // so the clean path charges exactly the rounds it did before the watchdog.
-  const auto estimate_lambda_max = [&](const Vec& seed, double seed_norm) {
-    ScopedSpan span(tracer, "solver/power-iteration", SpanKind::kPhase);
-    double lambda_max = 1.0;
-    if (seed_norm <= 0) return lambda_max;
-    WorkspaceLease v_l = ws.acquire_scratch(0);
-    WorkspaceLease w_l = ws.acquire_scratch(n);
-    Vec& v = *v_l;
-    Vec& w = *w_l;
-    v = seed;
-    scale(v, 1.0 / seed_norm);
-    for (std::size_t it = 0; it < options_.power_iterations; ++it) {
-      apply_ml_into(v, w);
-      const double norm = std::sqrt(charged_dot(ctx, w, w));
-      if (norm <= 0) break;
-      lambda_max = norm;
-      scale(w, 1.0 / norm);
-      v.swap(w);
-    }
-    return lambda_max;
-  };
-  // Session eigenbound reuse (opt-in): a later batch slot adopts the λ_max a
-  // previous slot estimated, skipping its own charged power iteration.
-  double hi;
-  if (ctx.reuse_hi != nullptr) {
-    hi = *ctx.reuse_hi;
-  } else if (options_.rhs_independent_eigenbounds) {
-    // Operator-only estimate: a fixed splitmix-hashed mean-zero seed vector,
-    // so every rhs lands on the same bound and reuse stays bit-identical.
-    // The seed's norm is one extra charged dot (the rhs path knows ‖b‖).
-    Vec seed(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t h = static_cast<std::uint64_t>(i) + 0x9e3779b97f4a7c15ull;
-      h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-      h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
-      h ^= h >> 31;
-      seed[i] = static_cast<double>(h >> 11) * 0x1.0p-52 - 1.0;
-    }
-    project_mean_zero(seed);
-    const double seed_norm = std::sqrt(charged_dot(ctx, seed, seed));
-    hi = 1.5 * std::max(estimate_lambda_max(seed, seed_norm), 1.0);
-  } else {
-    hi = 1.5 * std::max(estimate_lambda_max(rhs, b_norm), 1.0);
-  }
-  if (ctx.publish_hi != nullptr) *ctx.publish_hi = hi;
-  double lo = 0.25;  // the chain keeps M ⪰ c·L with modest c
-  double theta = 0.5 * (hi + lo);
-  double delta = 0.5 * (hi - lo);
-
-  r = rhs;
-  apply_preconditioner_into(ctx, 0, r, z, ws);
-  p.assign(n, 0.0);
-  double alpha = 0.0, beta = 0.0;
-  // Chebyshev's coefficients are position-dependent, so a rebound must rewind
-  // `k` (iterations since last restart) while `it` keeps counting the budget.
-  std::size_t k = 0;
-  // Divergence remediation: the eigenbound interval missed part of the
-  // spectrum (the polynomial amplifies there instead of damping), so
-  // re-estimate λ_max by charged power iteration on the *current* residual —
-  // the direction that exposed the miss — pad wider, and restart.
-  const auto rebound = [&](WatchdogSignal signal, const Vec& seed,
-                           double seed_norm) {
-    hi = std::max(2.0 * hi, 1.5 * estimate_lambda_max(seed, seed_norm));
-    // Persist the widened bound: a session (or cache) that reuses eigenbounds
-    // must adopt the rebounded estimate, not re-diverge on the stale one.
-    if (ctx.publish_hi != nullptr) *ctx.publish_hi = hi;
-    lo *= 0.5;
-    theta = 0.5 * (hi + lo);
-    delta = 0.5 * (hi - lo);
-    x.assign(n, 0.0);
-    r = rhs;
-    apply_preconditioner_into(ctx, 0, r, z, ws);
-    project_mean_zero(z);
-    p.assign(n, 0.0);
-    alpha = 0.0;
-    beta = 0.0;
-    k = 0;
-    wd->note_rebound();
-    wd->reset_residual_tracking();
-    RecoveryEvent event;
-    event.action = RecoveryAction::kWatchdogRebound;
-    event.subject = 0;
-    event.attempt = static_cast<std::uint32_t>(wd->report().rebounds);
-    event.detail = to_string(signal);
-    ctx_ledger(ctx).record_recovery(std::move(event));
-  };
-  for (std::size_t it = 0; it < options_.max_outer_iterations; ++it) {
-    ScopedSpan iter_span(tracer, "solver/outer-iteration",
-                         SpanKind::kIteration);
-    iter_span.counter("iteration", it);
-    if (k == 0) {
-      p = z;
-      alpha = 1.0 / theta;
-    } else {
-      beta = (k == 1) ? 0.5 * (delta * alpha) * (delta * alpha)
-                      : (delta * alpha / 2.0) * (delta * alpha / 2.0);
-      alpha = 1.0 / (theta - beta / alpha);
-      xpay(z, beta, p);
-    }
-    ++k;
-    axpy(alpha, p, x);
-    apply_matvec_into(ctx, 0, x, ax);
-    project_mean_zero(ax);
-    sub_into(rhs, ax, r);
-    if (iterations_out != nullptr) *iterations_out = it + 1;
-    if (wd != nullptr && wd->check_vector(r, it) != WatchdogSignal::kNone) {
-      if (!wd->allow_restart()) break;
-      rebound(WatchdogSignal::kNonFiniteVector, rhs, b_norm);
-      continue;
-    }
-    const double rel = std::sqrt(charged_dot(ctx, r, r)) / b_norm;
-    if (history != nullptr) history->push_back(rel);
-    if (rel <= options_.tolerance) break;
-    if (wd != nullptr) {
-      const WatchdogSignal signal = wd->observe_residual(rel, it);
-      if (signal != WatchdogSignal::kNone) {
-        if (!wd->allow_restart()) break;
-        rebound(signal, r, rel * b_norm);
-        continue;
-      }
-    }
-    apply_preconditioner_into(ctx, 0, r, z, ws);
-    project_mean_zero(z);
-  }
-}
-
 LaplacianSolveReport DistributedLaplacianSolver::solve(const Vec& b) {
   SolveContext ctx;  // shared accounting: the historical single-RHS path
   return solve_in_context(b, ctx);
@@ -705,13 +544,11 @@ void DistributedLaplacianSolver::reset_recovery_attribution() {
   }
 }
 
-void DistributedLaplacianSolver::fold_recovery_event(const RecoveryEvent& e,
-                                                     RecoveryCounters& counters,
-                                                     bool update_stats) {
-  counters.rounds_lost += e.rounds_lost;
-  // Attribute to a chain level: supervisor events carry the PA instance id,
-  // solver events the level index directly (only instance-subject actions
-  // below consult the mapping, so the overload is unambiguous).
+void DistributedLaplacianSolver::attribute_recovery_event(
+    const RecoveryEvent& e) {
+  // Supervisor events carry the PA instance id, solver events the level index
+  // directly (only instance-subject actions below consult the mapping, so the
+  // overload is unambiguous).
   std::size_t level = 0;  // global instance and solver events → level 0
   for (std::size_t l = 0; l < levels_.size(); ++l) {
     if (levels_[l].has_matvec_instance &&
@@ -721,41 +558,13 @@ void DistributedLaplacianSolver::fold_recovery_event(const RecoveryEvent& e,
     }
   }
   switch (e.action) {
-    case RecoveryAction::kRetry:
-      ++counters.retries;
-      if (update_stats && level < stats_.size()) ++stats_[level].pa_retries;
-      break;
-    case RecoveryAction::kRebuild:
-      ++counters.rebuilds;
-      if (update_stats && level < stats_.size()) ++stats_[level].pa_rebuilds;
-      break;
-    case RecoveryAction::kDegrade:
-      ++counters.degradations;
-      if (update_stats && level < stats_.size()) {
-        ++stats_[level].pa_degradations;
-      }
-      break;
-    case RecoveryAction::kCheckpointSave:
-      ++counters.checkpoints_saved;
-      break;
+    case RecoveryAction::kRetry: ++stats_[level].pa_retries; break;
+    case RecoveryAction::kRebuild: ++stats_[level].pa_rebuilds; break;
+    case RecoveryAction::kDegrade: ++stats_[level].pa_degradations; break;
     case RecoveryAction::kCheckpointRestore:
-      ++counters.checkpoints_restored;
-      if (update_stats && !stats_.empty()) ++stats_[0].checkpoints_restored;
+      ++stats_[0].checkpoints_restored;
       break;
-    case RecoveryAction::kWatchdogRestart:
-      ++counters.watchdog_restarts;
-      break;
-    case RecoveryAction::kWatchdogRefine:
-      ++counters.watchdog_refinements;
-      break;
-    case RecoveryAction::kWatchdogRebound:
-      ++counters.watchdog_rebounds;
-      break;
-    case RecoveryAction::kCertificateResolve:
-      ++counters.certificate_resolves;
-      break;
-    case RecoveryAction::kAbort:
-      break;  // reflected in report.degraded, not a counter
+    default: break;  // not attributed to a level
   }
 }
 
@@ -815,15 +624,9 @@ LaplacianSolveReport DistributedLaplacianSolver::solve_in_context(
   for (;;) {
     try {
       report.residual_history.clear();
-      if (options_.outer == OuterIteration::kChebyshev &&
-          !levels_[0].is_base) {
-        solve_top_chebyshev(ctx, rhs, report.x, &iterations,
-                            &report.residual_history, &wd);
-      } else {
-        solve_level(ctx, 0, rhs, options_.tolerance,
-                    options_.max_outer_iterations, report.x, &iterations,
-                    &report.residual_history, &ckpt, &wd, resume);
-      }
+      solve_level(ctx, 0, rhs, options_.tolerance,
+                  options_.max_outer_iterations, report.x, &iterations,
+                  &report.residual_history, &ckpt, &wd, resume);
       break;
     } catch (const ChaosAbortError& e) {
       if (!ckpt.can_restore()) {
@@ -941,7 +744,8 @@ LaplacianSolveReport DistributedLaplacianSolver::solve_in_context(
   // attribute them to chain levels (batch slots defer that to the session).
   const auto& events = ledger.recovery_events();
   for (std::size_t i = events_before; i < events.size(); ++i) {
-    fold_recovery_event(events[i], report.recovery, ctx.shared());
+    count_recovery_event(events[i], report.recovery);
+    if (ctx.shared()) attribute_recovery_event(events[i]);
   }
   solve_span.counter("outer-iterations", report.outer_iterations);
   solve_span.counter("pa-calls", report.pa_calls);

@@ -39,11 +39,6 @@
 
 namespace dls {
 
-enum class OuterIteration {
-  kFlexiblePcg,  // Polak–Ribière PCG (default; robust to inexact inner solves)
-  kChebyshev,    // preconditioned Chebyshev with power-iteration eigenbounds
-};
-
 struct LaplacianSolverOptions {
   double tolerance = 1e-8;          // relative ℓ₂ residual target
   std::size_t base_size = 120;      // dense base-case threshold
@@ -53,22 +48,11 @@ struct LaplacianSolverOptions {
   std::size_t inner_iterations = 10;   // per preconditioner level
   double inner_tolerance = 0.2;        // crude inner residual target
   bool tree_preconditioner_only = false;  // ablation: bare-tree sparsifier
-  OuterIteration outer = OuterIteration::kFlexiblePcg;
-  std::size_t power_iterations = 12;   // eigenbound estimation (Chebyshev only)
-  /// Chebyshev only: seed the λ_max power iteration with a fixed
-  /// graph-size-derived vector instead of the rhs. The estimate then depends
-  /// only on the operator, so *every* rhs computes (or reuses) the same
-  /// eigenbounds and eigenbound reuse across solves keeps results bitwise
-  /// identical to cold solves — the warm-cache determinism contract
-  /// (docs/CACHING.md). Costs one extra charged inner product (the seed's
-  /// norm, which the rhs-seeded path gets for free from ‖b‖). Off by default:
-  /// the historical rhs-seeded path and its golden traces are unchanged.
-  bool rhs_independent_eigenbounds = false;
   /// Numerical watchdog over the top-level outer iteration: NaN/Inf guards on
   /// matvecs and inner products, stagnation/divergence detection, budgeted
-  /// restarts, a refinement pass after any anomaly, and (Chebyshev) charged
-  /// eigenbound re-estimation on divergence. Thresholds are generous enough
-  /// that a healthy solve never trips — the clean path is bit-identical.
+  /// restarts and a refinement pass after any anomaly. Thresholds are
+  /// generous enough that a healthy solve never trips — the clean path is
+  /// bit-identical.
   WatchdogConfig watchdog;
   /// Outer-iteration checkpointing (interval 0 = off, the default): with an
   /// interval set, a ChaosAbortError escaping the oracle resumes the PCG
@@ -119,25 +103,6 @@ struct LaplacianSolveReport {
 
 class ThreadPool;
 
-/// Configuration of a multi-RHS solve session (docs/BATCHING.md).
-struct SolveSessionOptions {
-  /// Root seed of the per-RHS rng streams: slot i runs with an Rng seeded by
-  /// derive_scenario_seed(seed, i) — the SimBatch discipline. The current
-  /// solve kernels are rng-free after construction (which is why batch ≡
-  /// sequential bitwise), so the streams exist to keep any future randomized
-  /// remediation slot-deterministic rather than to feed today's numerics.
-  std::uint64_t seed = 0x5eed5e55u;
-  /// Chebyshev only: estimate λ_max once on slot 0 and reuse the bounds for
-  /// the remaining RHS of the batch, skipping their charged power iterations.
-  /// Opt-in because it breaks bit-identity with N sequential solves (the
-  /// reused bound was estimated from a different rhs); defaults preserve the
-  /// determinism contract.
-  bool reuse_chebyshev_eigenbounds = false;
-  /// Charge the oracle's shared ledger one pipelined "batch/…" phase per PA
-  /// call position instead of leaving the shared ledger untouched.
-  bool amortized_charging = true;
-};
-
 class DistributedLaplacianSolver {
  public:
   /// Builds the preconditioner chain for oracle.graph() (connected required).
@@ -154,7 +119,7 @@ class DistributedLaplacianSolver {
   /// level hierarchy, base Cholesky factor, and measured oracle costs across
   /// all RHS, fanning independent RHS out over `pool`. Entry i is
   /// bit-identical to solve(bs[i]) on a fresh identically-seeded solver, for
-  /// every pool and batch size. See SolveSession for sticky options.
+  /// every pool and batch size.
   std::vector<LaplacianSolveReport> solve_batch(const std::vector<Vec>& bs,
                                                 ThreadPool* pool = nullptr);
 
@@ -244,14 +209,6 @@ class DistributedLaplacianSolver {
     /// Per-instance PA call counts (batch accounting; may be null). Indexed
     /// by oracle InstanceId; sized by the session before fan-out.
     std::vector<std::uint64_t>* pa_counts = nullptr;
-    /// Per-RHS rng stream (see SolveSessionOptions::seed).
-    Rng rng{0};
-    /// Chebyshev eigenbound reuse (session opt-in): when `reuse_hi` is set
-    /// the charged power iteration is skipped and *reuse_hi is used as the
-    /// λ_max estimate; when `publish_hi` is set the estimate actually used
-    /// is written there for later slots.
-    const double* reuse_hi = nullptr;
-    double* publish_hi = nullptr;
     /// Buffer arena this solve leases its working vectors from (nullptr →
     /// the solver's shared workspace). Batch slots carry their own: a
     /// workspace is deliberately not thread-safe, so concurrent slots must
@@ -298,16 +255,6 @@ class DistributedLaplacianSolver {
                    CheckpointManager* ckpt = nullptr,
                    NumericalWatchdog* wd = nullptr,
                    const SolverCheckpoint* resume = nullptr);
-  /// Preconditioned Chebyshev at the TOP level (options_.outer == kChebyshev):
-  /// estimates the extreme eigenvalues of M⁻¹L by charged power iteration,
-  /// then runs the classic two-term recurrence against the chain. On a
-  /// watchdog divergence signal the eigenbounds are re-estimated (charged)
-  /// and the recurrence restarts — the "rebound" remediation. Writes the
-  /// solution into `x_out` (must not alias `b`).
-  void solve_top_chebyshev(SolveContext& ctx, const Vec& b, Vec& x_out,
-                           std::size_t* iterations_out,
-                           std::vector<double>* history,
-                           NumericalWatchdog* wd = nullptr);
   /// The full solve pipeline (outer iteration, recovery loop, refinement,
   /// certificate, report assembly) charging through `ctx`. Shared contexts
   /// additionally reset + update the per-level recovery attribution in
@@ -315,10 +262,9 @@ class DistributedLaplacianSolver {
   LaplacianSolveReport solve_in_context(const Vec& b, SolveContext& ctx);
   /// Zeroes the per-solve recovery attribution fields of stats_.
   void reset_recovery_attribution();
-  /// Folds one recovery event into `counters` and (when update_stats) the
-  /// per-level attribution of stats_.
-  void fold_recovery_event(const RecoveryEvent& e, RecoveryCounters& counters,
-                           bool update_stats);
+  /// Attributes one recovery event to its chain level in stats_ (PA retries,
+  /// rebuilds and degradations by instance; checkpoint restores to level 0).
+  void attribute_recovery_event(const RecoveryEvent& e);
 
   CongestedPaOracle& oracle_;
   LaplacianSolverOptions options_;
@@ -344,11 +290,10 @@ class DistributedLaplacianSolver {
 /// Determinism contract: solve_batch(bs, pool)[i] is bit-identical to
 /// solve(bs[i]) on a fresh identically-seeded solver — same x, same report,
 /// same per-slot ledger entries — for every pool (including none) and every
-/// batch size, provided reuse_chebyshev_eigenbounds stays off.
+/// batch size.
 class SolveSession {
  public:
-  explicit SolveSession(DistributedLaplacianSolver& solver,
-                        const SolveSessionOptions& options = {});
+  explicit SolveSession(DistributedLaplacianSolver& solver);
 
   /// Solves the batch; entry i answers bs[i]. RHS fan out across `pool`
   /// (nullptr → inline); results merge in slot order.
@@ -356,29 +301,17 @@ class SolveSession {
                                                 ThreadPool* pool = nullptr);
 
   /// Amortized accounting of the most recent batch (what was absorbed into
-  /// the oracle's ledger under the "batch/" prefix when amortized_charging
-  /// is on): pipelined PA phases + bandwidth-bound local phases.
+  /// the oracle's ledger under the "batch/" prefix): pipelined PA phases +
+  /// bandwidth-bound local phases.
   const RoundLedger& last_batch_ledger() const { return batch_ledger_; }
   std::uint64_t batches_run() const { return batches_run_; }
   std::uint64_t rhs_solved() const { return rhs_solved_; }
 
-  /// The Chebyshev λ_max bound the session reuses across its batches
-  /// (nullopt until a batch has estimated one, or when reuse is off). A
-  /// watchdog rebound during any slot widens the stored bound in place, so
-  /// later batches start from the rebounded estimate instead of re-diverging
-  /// against the stale one.
-  std::optional<double> cached_eigenbound() const {
-    return has_cached_hi_ ? std::optional<double>(cached_hi_) : std::nullopt;
-  }
-
  private:
   DistributedLaplacianSolver& solver_;
-  SolveSessionOptions options_;
   RoundLedger batch_ledger_;
   std::uint64_t batches_run_ = 0;
   std::uint64_t rhs_solved_ = 0;
-  bool has_cached_hi_ = false;
-  double cached_hi_ = 0.0;  // Chebyshev λ_max reuse (opt-in)
   /// Per-slot lease arenas (a workspace is not thread-safe, so concurrent
   /// slots never share one). Persisted across batches: slot i's buffers stay
   /// warm for the next batch's slot i, like the solver's shared workspace

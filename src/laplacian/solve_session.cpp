@@ -4,10 +4,10 @@
 // the level hierarchy, base Cholesky factor, and the oracle's measured PA
 // costs are built/measured once and shared by all RHS. Determinism follows
 // the SimBatch discipline: every slot gets a private RoundLedger, a private
-// PA-call counter, and a splitmix-derived rng stream; slots never touch
-// shared mutable state while in flight (oracle replay is const), and all
-// merging happens afterwards on the calling thread in slot order. The result
-// is bit-identical to N sequential solve() calls for every thread count.
+// PA-call counter and a private workspace; slots never touch shared mutable
+// state while in flight (oracle replay is const), and all merging happens
+// afterwards on the calling thread in slot order. The result is bit-identical
+// to N sequential solve() calls for every thread count.
 #include <exception>
 #include <map>
 #include <memory>
@@ -15,14 +15,12 @@
 #include "laplacian/recursive_solver.hpp"
 #include "obs/ledger_clock.hpp"
 #include "obs/metrics.hpp"
-#include "sim/sim_batch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dls {
 
-SolveSession::SolveSession(DistributedLaplacianSolver& solver,
-                           const SolveSessionOptions& options)
-    : solver_(solver), options_(options) {}
+SolveSession::SolveSession(DistributedLaplacianSolver& solver)
+    : solver_(solver) {}
 
 std::vector<LaplacianSolveReport> SolveSession::solve_batch(
     const std::vector<Vec>& bs, ThreadPool* pool) {
@@ -65,13 +63,7 @@ std::vector<LaplacianSolveReport> SolveSession::solve_batch(
     for (std::size_t i = 0; i < k; ++i) slot_tracers[i] = std::make_unique<Tracer>();
   }
 
-  const bool reuse_bounds =
-      options_.reuse_chebyshev_eigenbounds &&
-      solver_.options_.outer == OuterIteration::kChebyshev &&
-      !solver_.levels_[0].is_base;
-
-  const auto run_slot = [&](std::size_t i, const double* reuse_hi,
-                            double* publish_hi) {
+  const auto run_slot = [&](std::size_t i) {
     // Always install a scope: the slot tracer when tracing, nullptr
     // otherwise. The inline (pool == nullptr) path runs on the calling
     // thread, so without this its spans would leak straight into the parent
@@ -85,9 +77,6 @@ std::vector<LaplacianSolveReport> SolveSession::solve_batch(
       DistributedLaplacianSolver::SolveContext ctx;
       ctx.ledger = &ledgers[i];
       ctx.pa_counts = &pa_counts[i];
-      ctx.rng = Rng(derive_scenario_seed(options_.seed, i));
-      ctx.reuse_hi = reuse_hi;
-      ctx.publish_hi = publish_hi;
       ctx.ws = slot_ws_[i].get();
       reports[i] = solver_.solve_in_context(bs[i], ctx);
     } catch (...) {
@@ -97,41 +86,9 @@ std::vector<LaplacianSolveReport> SolveSession::solve_batch(
       errors[i] = std::current_exception();
     }
   };
-
-  std::size_t first_parallel = 0;
-  if (reuse_bounds && !has_cached_hi_) {
-    // Slot 0 estimates λ_max (charged, on its own private ledger); the rest
-    // of the batch — and later batches of this session — reuse it. The
-    // publish pointer also persists any watchdog *rebound* slot 0 applies,
-    // so the session never re-diverges against a bound already proven stale.
-    run_slot(0, nullptr, &cached_hi_);
-    if (errors[0] == nullptr) has_cached_hi_ = true;
-    first_parallel = 1;
-  }
-  const double* reuse_hi = reuse_bounds && has_cached_hi_ ? &cached_hi_ : nullptr;
-  // Reusing slots publish into private cells (never the shared bound — slots
-  // may run concurrently); rebounds are folded below after the barrier.
-  std::vector<double> slot_hi(k, 0.0);
-  if (pool == nullptr) {
-    for (std::size_t i = first_parallel; i < k; ++i) {
-      run_slot(i, reuse_hi, reuse_hi != nullptr ? &slot_hi[i] : nullptr);
-    }
-  } else {
-    pool->parallel_for(k - first_parallel, [&](std::size_t j) {
-      const std::size_t i = first_parallel + j;
-      run_slot(i, reuse_hi, reuse_hi != nullptr ? &slot_hi[i] : nullptr);
-    });
-  }
+  parallel_for_each(pool, k, run_slot);
   for (std::size_t i = 0; i < k; ++i) {
     if (errors[i] != nullptr) std::rethrow_exception(errors[i]);
-  }
-  if (reuse_hi != nullptr) {
-    // Persist rebounded eigenbounds: each reusing slot published the bound it
-    // ended on (== cached_hi_ unless it rebounded; rebounds only widen).
-    // max() is order-free, so the fold is thread-count invariant.
-    for (std::size_t i = first_parallel; i < k; ++i) {
-      cached_hi_ = std::max(cached_hi_, slot_hi[i]);
-    }
   }
 
   // ---- Slot-ordered merge (single-threaded from here on). ----
@@ -145,10 +102,9 @@ std::vector<LaplacianSolveReport> SolveSession::solve_batch(
   // Per-level recovery attribution: the batch is one "call" for stats_
   // purposes — reset once, then fold every slot's events in slot order.
   solver_.reset_recovery_attribution();
-  RecoveryCounters scratch;
   for (std::size_t i = 0; i < k; ++i) {
     for (const RecoveryEvent& e : ledgers[i].recovery_events()) {
-      solver_.fold_recovery_event(e, scratch, /*update_stats=*/true);
+      solver_.attribute_recovery_event(e);
     }
   }
 
@@ -222,10 +178,8 @@ std::vector<LaplacianSolveReport> SolveSession::solve_batch(
       batch_ledger_.record_recovery(e);
     }
   }
-  if (options_.amortized_charging) {
-    solver_.oracle_.ledger().absorb(batch_ledger_, "batch");
-    solver_.oracle_.note_batched_pa_calls(pa_groups);
-  }
+  solver_.oracle_.ledger().absorb(batch_ledger_, "batch");
+  solver_.oracle_.note_batched_pa_calls(pa_groups);
   charge_span.counter("pa-groups", pa_groups);
   charge_span.counter("labels", by_label.size());
   charge_span.finish();

@@ -97,22 +97,12 @@ void CachedSolverState::build(const Graph& g) {
   auto oracle = make_cache_oracle(*graph, *rng, options_.oracle);
   if (options_.oracle_hook) options_.oracle_hook(*oracle);
 
-  LaplacianSolverOptions solver_options = options_.solver;
-  if (solver_options.outer == OuterIteration::kChebyshev &&
-      options_.reuse_chebyshev_eigenbounds) {
-    // The reused bound must not depend on whichever rhs arrives first, or
-    // warm results would diverge from cold solves (header contract).
-    solver_options.rhs_independent_eigenbounds = true;
-  }
   auto solver =
-      std::make_unique<DistributedLaplacianSolver>(*oracle, *rng, solver_options);
+      std::make_unique<DistributedLaplacianSolver>(*oracle, *rng, options_.solver);
   // Measure every PA instance now — the one-time dry runs the entry pays for
   // at build so that warm charging below is honest, not a discount.
   solver->warm_instances();
-  SolveSessionOptions session_options;
-  session_options.reuse_chebyshev_eigenbounds =
-      options_.reuse_chebyshev_eigenbounds;
-  auto session = std::make_unique<SolveSession>(*solver, session_options);
+  auto session = std::make_unique<SolveSession>(*solver);
 
   graph_ = std::move(graph);
   rng_ = std::move(rng);
@@ -240,8 +230,8 @@ WeightUpdateReport CachedSolverState::update_weights(
   if (report.edges_changed == 0) return finish(WeightUpdateClass::kNoChange);
 
   if (report.edges_changed == m && max_ratio <= min_ratio * kRatioSlack) {
-    // Uniform L → cL. Exact: only the scale factor moves; the stored solver,
-    // its measured instances, and its eigenbounds are all reused untouched.
+    // Uniform L → cL. Exact: only the scale factor moves; the stored solver
+    // and its measured instances are reused untouched.
     scale_ *= min_ratio;
     oracle_->ledger().charge_local(1, "cache/update-weights");
     report.charged_local_rounds = 1;
@@ -298,13 +288,6 @@ WeightUpdateReport CachedSolverState::update_weights(
       const std::uint64_t rounds = reweight_sweep_rounds(*solver_);
       oracle_->ledger().charge_local(rounds, "cache/reweight-chain");
       report.charged_local_rounds = rounds;
-      // The chain's numerics changed: the session's cached eigenbound (if
-      // any) describes the old operator. Fresh session, bound re-estimated
-      // (and charged) on the next solve.
-      SolveSessionOptions session_options;
-      session_options.reuse_chebyshev_eigenbounds =
-          options_.reuse_chebyshev_eigenbounds;
-      session_ = std::make_unique<SolveSession>(*solver_, session_options);
       return finish(WeightUpdateClass::kPartialRebuild);
     }
     for (EdgeId e = 0; e < m; ++e) graph_->set_weight(e, saved[e]);

@@ -2,14 +2,13 @@
 //
 // Almost everything a solve pays for — the low-stretch trees, the recursive
 // minor hierarchy, the dense base-case factorization, the measured shortcut
-// PA instances, the Chebyshev eigenbounds — depends on the *graph*, not on
-// the right-hand side, and not even on the weight scale. A serving
-// deployment answering many queries against the same (or slightly perturbed)
-// graph should therefore build that state once, pay for it once, and reuse
-// it. The SolverCache holds one fully built solver stack per graph
-// *structure* (fingerprint over nodes + edge endpoints; weights excluded),
-// with LRU eviction under an entry/byte budget and memory accounting on
-// MetricsRegistry ("cache.*").
+// PA instances — depends on the *graph*, not on the right-hand side, and not
+// even on the weight scale. A serving deployment answering many queries
+// against the same (or slightly perturbed) graph should therefore build that
+// state once, pay for it once, and reuse it. The SolverCache holds one fully
+// built solver stack per graph *structure* (fingerprint over nodes + edge
+// endpoints; weights excluded), with LRU eviction under an entry/byte budget
+// and memory accounting on MetricsRegistry ("cache.*").
 //
 // Honesty contract: a cache entry charges its one-time construction — the
 // hierarchy build, the base gather, and each instance's measurement dry run —
@@ -20,12 +19,11 @@
 // Supported-CONGEST / NCC the embedded construction cost is zero and warm
 // charging is a no-op.
 //
-// Determinism contract: warm charging and eigenbound reuse never feed the
-// numerics, so a warm solve's per-RHS results are bit-identical to a cold
-// solve on an identically-seeded fresh stack (for Chebyshev the entry forces
-// rhs_independent_eigenbounds so the reused bound IS the cold bound). With
-// the cache unused, nothing anywhere changes: warm charging is off by
-// default and every golden trace is untouched.
+// Determinism contract: warm charging never feeds the numerics, so a warm
+// solve's per-RHS results are bit-identical to a cold solve on an
+// identically-seeded fresh stack. With the cache unused, nothing anywhere
+// changes: warm charging is off by default and every golden trace is
+// untouched.
 //
 // Dynamic weight updates classify through a spectral-similarity ladder
 // (update_weights): kNoChange → kRescale (uniform c: track the scale, x/c is
@@ -44,7 +42,6 @@
 #include <functional>
 #include <list>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "laplacian/recursive_solver.hpp"
@@ -93,11 +90,7 @@ struct WeightUpdateReport {
 };
 
 struct SolverCacheOptions {
-  /// Applied to every cached solver. For Chebyshev with eigenbound reuse the
-  /// entry forces rhs_independent_eigenbounds on (the reused bound must not
-  /// depend on whichever rhs arrived first, or warm results would diverge
-  /// from cold solves); cold reference stacks must set it too for
-  /// bit-comparison.
+  /// Applied to every cached solver.
   LaplacianSolverOptions solver;
   CacheOracleKind oracle = CacheOracleKind::kShortcutCongest;
   /// Root seed of each entry's deterministic stream (chain sampling, oracle
@@ -105,10 +98,6 @@ struct SolverCacheOptions {
   /// rebuilt entry is bit-interchangeable with a cold stack on the new
   /// weights.
   std::uint64_t seed = 0x5eedCACEull;
-  /// Reuse the Chebyshev λ_max bound across an entry's solves (skips the
-  /// charged power iteration from the second solve on). Safe for bit-identity
-  /// because of the forced rhs-independent estimate above.
-  bool reuse_chebyshev_eigenbounds = true;
   /// LRU budgets. The most-recent entry is never evicted (serving must
   /// proceed), even if it alone exceeds the byte budget.
   std::size_t max_entries = 8;
@@ -138,8 +127,8 @@ std::uint64_t graph_structure_fingerprint(const Graph& g);
 
 /// One cached per-graph solver stack, owned by a SolverCache. Holds the
 /// graph copy, the deterministic rng stream, the oracle (in warm-charging
-/// mode), the solver hierarchy, and a long-lived SolveSession (which
-/// persists reused — and rebounded — Chebyshev eigenbounds across solves).
+/// mode), the solver hierarchy, and a long-lived SolveSession (whose per-slot
+/// workspaces stay warm across solves).
 class CachedSolverState {
  public:
   /// Warm solve. Results are bit-identical to a cold solve on an
@@ -168,9 +157,6 @@ class CachedSolverState {
   std::uint64_t build_rounds() const { return build_rounds_; }
   std::uint64_t solves() const { return solves_; }
   std::uint64_t full_rebuilds() const { return full_rebuilds_; }
-  std::optional<double> cached_eigenbound() const {
-    return session_->cached_eigenbound();
-  }
   /// Rough resident size (graph + hierarchy + base factor + oracle state).
   std::size_t approx_bytes() const;
 

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "graph/algorithms.hpp"
-
 namespace dls {
 
 namespace {
@@ -266,105 +264,6 @@ SolveResult preconditioned_cg(const InplaceOperator& op,
   return result;
 }
 
-SolveResult chebyshev(const InplaceOperator& op, const Vec& b,
-                      double lambda_min, double lambda_max,
-                      const SolveOptions& options, SolveWorkspace& ws) {
-  DLS_REQUIRE(lambda_min > 0 && lambda_max >= lambda_min,
-              "chebyshev needs 0 < lambda_min <= lambda_max");
-  SolveResult result;
-  const std::size_t n = b.size();
-  NumericalWatchdog wd(options.watchdog);
-  WorkspaceLease rhs_l = ws.acquire_scratch(n);
-  Vec& rhs = *rhs_l;
-  rhs = b;
-  project_mean_zero(rhs);
-  if (wd.check_vector(rhs, 0) != WatchdogSignal::kNone) {
-    return poisoned_input(n, wd);
-  }
-  const double b_norm = norm2(rhs);
-  result.x.assign(n, 0.0);
-  if (b_norm == 0.0) {
-    result.converged = true;
-    return result;
-  }
-  double theta = 0.5 * (lambda_max + lambda_min);
-  double delta = 0.5 * (lambda_max - lambda_min);
-  WorkspaceLease r_l = ws.acquire_scratch(n);
-  WorkspaceLease p_l = ws.acquire(n);
-  WorkspaceLease ax_l = ws.acquire_scratch(n);
-  Vec& r = *r_l;
-  Vec& p = *p_l;
-  Vec& ax = *ax_l;
-  r = rhs;
-  double alpha = 0.0, beta = 0.0;
-  // `k` counts iterations since the last restart: the Chebyshev recurrence
-  // coefficients are position-dependent, so a restart must rewind them even
-  // though the overall budget `it` keeps advancing.
-  std::size_t k = 0;
-  // Remediation for divergence: the eigenbounds were wrong (part of the
-  // spectrum outside [λmin, λmax] makes the polynomial amplify instead of
-  // damp), so widen them and restart the recurrence — the "rebound".
-  const auto rebound_restart = [&](bool widen) {
-    if (widen) {
-      lambda_min *= 0.5;
-      lambda_max *= 2.0;
-      theta = 0.5 * (lambda_max + lambda_min);
-      delta = 0.5 * (lambda_max - lambda_min);
-      wd.note_rebound();
-    }
-    result.x.assign(n, 0.0);
-    r = rhs;
-    p.assign(n, 0.0);
-    alpha = 0.0;
-    beta = 0.0;
-    k = 0;
-    wd.reset_residual_tracking();
-  };
-  const std::size_t max_iters = default_max_iters(n, options);
-  for (std::size_t it = 0; it < max_iters; ++it) {
-    if (k == 0) {
-      p = r;
-      alpha = 1.0 / theta;
-    } else {
-      beta = (k == 1) ? 0.5 * (delta * alpha) * (delta * alpha)
-                      : (delta * alpha / 2.0) * (delta * alpha / 2.0);
-      alpha = 1.0 / (theta - beta / alpha);
-      xpay(r, beta, p);
-    }
-    ++k;
-    axpy(alpha, p, result.x);
-    op(result.x, ax);
-    project_mean_zero(ax);
-    result.iterations = it + 1;
-    if (wd.check_vector(ax, it) != WatchdogSignal::kNone) {
-      if (!wd.allow_restart()) break;
-      rebound_restart(/*widen=*/false);
-      continue;
-    }
-    sub_into(rhs, ax, r);
-    const double r_norm = norm2(r);
-    if (r_norm <= options.tolerance * b_norm) {
-      result.converged = true;
-      break;
-    }
-    const WatchdogSignal signal = wd.observe_residual(r_norm / b_norm, it);
-    if (signal == WatchdogSignal::kResidualDivergence ||
-        signal == WatchdogSignal::kResidualStagnation) {
-      if (!wd.allow_restart()) break;
-      rebound_restart(/*widen=*/true);
-      continue;
-    }
-    if (signal != WatchdogSignal::kNone) {
-      if (!wd.allow_restart()) break;
-      rebound_restart(/*widen=*/false);
-      continue;
-    }
-  }
-  result.residual_norm = norm2(r) / b_norm;
-  result.watchdog = wd.report();
-  return result;
-}
-
 // --- Return-by-value adapters -----------------------------------------------
 
 namespace {
@@ -393,28 +292,6 @@ SolveResult preconditioned_cg(const LinearOperator& op,
                               const SolveOptions& options) {
   SolveWorkspace ws;
   return preconditioned_cg(adapt(op), adapt(precond), b, options, ws);
-}
-
-SolveResult chebyshev(const LinearOperator& op, const Vec& b, double lambda_min,
-                      double lambda_max, const SolveOptions& options) {
-  SolveWorkspace ws;
-  return chebyshev(adapt(op), b, lambda_min, lambda_max, options, ws);
-}
-
-SpectrumBounds laplacian_spectrum_bounds(const Graph& g) {
-  SpectrumBounds bounds;
-  double max_wdeg = 0.0;
-  double min_weight = std::numeric_limits<double>::infinity();
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    max_wdeg = std::max(max_wdeg, g.weighted_degree(v));
-  }
-  for (const Edge& e : g.edges()) min_weight = std::min(min_weight, e.weight);
-  bounds.lambda_max = 2.0 * max_wdeg;
-  // λ₂ ≥ w_min · λ₂(unweighted) and λ₂(unweighted) ≥ 4/(n·diam) ≥ 1/n²
-  // (Fiedler/Mohar). The n⁻² bound is loose but safe and free to compute.
-  const double n = static_cast<double>(std::max<std::size_t>(g.num_nodes(), 2));
-  bounds.lambda_min = (g.num_edges() > 0 ? min_weight : 1.0) / (n * n);
-  return bounds;
 }
 
 }  // namespace dls

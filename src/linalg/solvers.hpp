@@ -1,8 +1,6 @@
-// Sequential reference solvers for Laplacian systems Lx = b. These provide
-// the numerical ground truth against which the distributed solvers are
-// validated (EXPERIMENTS.md records distributed-vs-reference errors), plus
-// the iteration kernels (CG / Chebyshev) reused inside the recursive
-// distributed solver with a different matvec provider.
+// Sequential reference solvers for Laplacian systems Lx = b: the numerical
+// ground truth against which the distributed solvers are validated
+// (EXPERIMENTS.md records distributed-vs-reference errors).
 #pragma once
 
 #include <functional>
@@ -38,8 +36,8 @@ struct SolveOptions {
   double tolerance = 1e-8;        // relative ℓ₂ residual target
   std::size_t max_iterations = 0; // 0 => 10·n + 100
   /// NaN/Inf guards, stagnation/divergence detection and budgeted
-  /// remediation (restart, refinement pass, Chebyshev rebound). Enabled by
-  /// default with thresholds generous enough that healthy solves never trip.
+  /// remediation (restart, refinement pass). Enabled by default with
+  /// thresholds generous enough that healthy solves never trip.
   WatchdogConfig watchdog;
 };
 
@@ -66,12 +64,6 @@ SolveResult preconditioned_cg(const InplaceOperator& op,
                               const InplaceOperator& precond, const Vec& b,
                               const SolveOptions& options, SolveWorkspace& ws);
 
-/// Chebyshev iteration given eigenvalue bounds [lambda_min, lambda_max] of
-/// the (preconditioned) operator restricted to the mean-zero space.
-SolveResult chebyshev(const InplaceOperator& op, const Vec& b,
-                      double lambda_min, double lambda_max,
-                      const SolveOptions& options, SolveWorkspace& ws);
-
 // Return-by-value convenience API: adapts `op` onto the in-place kernels
 // with a throwaway workspace. Same bits, per-call allocations.
 
@@ -85,18 +77,5 @@ SolveResult solve_laplacian_cg(const Graph& g, const Vec& b,
 SolveResult preconditioned_cg(const LinearOperator& op,
                               const LinearOperator& precond, const Vec& b,
                               const SolveOptions& options = {});
-
-SolveResult chebyshev(const LinearOperator& op, const Vec& b, double lambda_min,
-                      double lambda_max, const SolveOptions& options = {});
-
-/// Bounds on the nonzero Laplacian spectrum of a connected graph:
-/// lambda_max ≤ 2·max weighted degree; lambda_min ≥ fiedler lower bound via
-/// 1/(n·diam-ish) — we return safe (loose) analytic bounds good enough to
-/// drive Chebyshev.
-struct SpectrumBounds {
-  double lambda_min = 0.0;
-  double lambda_max = 0.0;
-};
-SpectrumBounds laplacian_spectrum_bounds(const Graph& g);
 
 }  // namespace dls

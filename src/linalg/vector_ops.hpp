@@ -51,8 +51,7 @@ void sub_into(const Vec& a, const Vec& b, Vec& r);
 /// update + convergence check in one pass.
 double axpy_dot(double alpha, const Vec& x, Vec& y);
 
-/// y = x + beta·y — the CG/Chebyshev search-direction update p = z + βp,
-/// in place.
+/// y = x + beta·y — the CG search-direction update p = z + βp, in place.
 void xpay(const Vec& x, double beta, Vec& y);
 
 /// Subtract the mean, projecting onto the space orthogonal to 1 (the

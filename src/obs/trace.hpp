@@ -71,7 +71,7 @@ enum class SpanKind : std::uint8_t {
   kScenario,   // one simulated scenario / golden case
   kSolve,      // a full Laplacian solve
   kLevel,      // one level of the solver hierarchy
-  kIteration,  // one outer PCG / Chebyshev iteration
+  kIteration,  // one outer PCG iteration
   kPaCall,     // one part-wise aggregation oracle call
   kPhase,      // a message-plane or construction phase
   kSession,    // batched multi-RHS session scope

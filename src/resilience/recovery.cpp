@@ -14,28 +14,31 @@ const char* to_string(EscalationTier tier) {
   return "?";
 }
 
+void count_recovery_event(const RecoveryEvent& e, RecoveryCounters& counters) {
+  counters.rounds_lost += e.rounds_lost;
+  switch (e.action) {
+    case RecoveryAction::kRetry: ++counters.retries; break;
+    case RecoveryAction::kRebuild: ++counters.rebuilds; break;
+    case RecoveryAction::kDegrade: ++counters.degradations; break;
+    case RecoveryAction::kCheckpointSave: ++counters.checkpoints_saved; break;
+    case RecoveryAction::kCheckpointRestore:
+      ++counters.checkpoints_restored;
+      break;
+    case RecoveryAction::kWatchdogRestart: ++counters.watchdog_restarts; break;
+    case RecoveryAction::kWatchdogRefine:
+      ++counters.watchdog_refinements;
+      break;
+    case RecoveryAction::kCertificateResolve:
+      ++counters.certificate_resolves;
+      break;
+    case RecoveryAction::kAbort: break;  // counted via the tier, not here
+  }
+}
+
 RecoveryCounters tally_recovery(const RoundLedger& ledger) {
   RecoveryCounters counters;
   for (const RecoveryEvent& e : ledger.recovery_events()) {
-    counters.rounds_lost += e.rounds_lost;
-    switch (e.action) {
-      case RecoveryAction::kRetry: ++counters.retries; break;
-      case RecoveryAction::kRebuild: ++counters.rebuilds; break;
-      case RecoveryAction::kDegrade: ++counters.degradations; break;
-      case RecoveryAction::kCheckpointSave: ++counters.checkpoints_saved; break;
-      case RecoveryAction::kCheckpointRestore:
-        ++counters.checkpoints_restored;
-        break;
-      case RecoveryAction::kWatchdogRestart: ++counters.watchdog_restarts; break;
-      case RecoveryAction::kWatchdogRefine:
-        ++counters.watchdog_refinements;
-        break;
-      case RecoveryAction::kWatchdogRebound: ++counters.watchdog_rebounds; break;
-      case RecoveryAction::kCertificateResolve:
-        ++counters.certificate_resolves;
-        break;
-      case RecoveryAction::kAbort: break;  // counted via the tier, not here
-    }
+    count_recovery_event(e, counters);
   }
   return counters;
 }
@@ -62,7 +65,6 @@ EscalationTier highest_tier(const RoundLedger& ledger) {
       case RecoveryAction::kCheckpointSave:
       case RecoveryAction::kWatchdogRestart:
       case RecoveryAction::kWatchdogRefine:
-      case RecoveryAction::kWatchdogRebound:
         break;  // bookkeeping, not escalation
     }
   }

@@ -47,21 +47,23 @@ struct RecoveryCounters {
   std::size_t checkpoints_restored = 0;
   std::size_t watchdog_restarts = 0;
   std::size_t watchdog_refinements = 0;
-  std::size_t watchdog_rebounds = 0;
   std::size_t certificate_resolves = 0;  // solves re-run after a rejected cert
   std::uint64_t rounds_lost = 0;  // simulated work charged to failed attempts
 
   bool any() const {
     return retries + rebuilds + degradations + checkpoints_saved +
                checkpoints_restored + watchdog_restarts +
-               watchdog_refinements + watchdog_rebounds +
-               certificate_resolves >
+               watchdog_refinements + certificate_resolves >
            0;
   }
 
   friend bool operator==(const RecoveryCounters&,
                          const RecoveryCounters&) = default;
 };
+
+/// Folds one recovery event into `counters` (kAbort shows in the tier, not
+/// in a counter).
+void count_recovery_event(const RecoveryEvent& e, RecoveryCounters& counters);
 
 /// Folds a ledger's recovery events into counters.
 RecoveryCounters tally_recovery(const RoundLedger& ledger);

@@ -9,8 +9,7 @@
 //   * kNonFiniteVector / kNonFiniteScalar — a NaN or Inf escaped a matvec or
 //     an inner product; without a guard it poisons every later iterate.
 //   * kResidualDivergence — the residual exploded past divergence_factor ×
-//     its best value (a broken preconditioner, an asymmetric operator, or
-//     eigenbounds that exclude part of the spectrum).
+//     its best value (a broken preconditioner or an asymmetric operator).
 //   * kResidualStagnation — no new residual minimum for stagnation_window
 //     iterations: the Krylov directions collapsed (loss of orthogonality,
 //     beta drift under the flexible-PCG nonlinearity).
@@ -18,10 +17,10 @@
 //     the next search direction would be garbage.
 //
 // The watchdog only *detects*; remediation (restart the recurrence, clamp
-// beta, re-estimate eigenbounds, run a refinement pass) is applied by the
-// loop that owns the iterates, budgeted through allow_restart(). On a
-// healthy run no signal ever fires and the iteration is bit-identical to one
-// without a watchdog — the determinism contract docs/RESILIENCE.md pins.
+// beta, run a refinement pass) is applied by the loop that owns the iterates,
+// budgeted through allow_restart(). On a healthy run no signal ever fires and
+// the iteration is bit-identical to one without a watchdog — the determinism
+// contract docs/RESILIENCE.md pins.
 //
 // This header deliberately depends on nothing above util/ so the linalg
 // kernels can use it without a dependency cycle.
@@ -86,7 +85,6 @@ struct WatchdogReport {
   std::vector<WatchdogIncident> incidents;  // every signal, in firing order
   std::size_t restarts = 0;                 // remediations actually applied
   std::size_t refinements = 0;              // refinement passes appended
-  std::size_t rebounds = 0;                 // eigenbound re-estimations
   bool gave_up = false;  // restart budget exhausted while signals persisted
 
   std::size_t anomalies() const { return incidents.size(); }
@@ -120,7 +118,6 @@ class NumericalWatchdog {
   /// loop must fail typed instead of looping on a sick recurrence.
   bool allow_restart();
   void note_refinement() { ++report_.refinements; }
-  void note_rebound() { ++report_.rebounds; }
 
   /// Forget the residual history (after a restart: the recurrence was reset,
   /// so stagnation/divergence must be judged against the new trajectory).

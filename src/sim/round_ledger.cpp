@@ -102,7 +102,6 @@ const char* to_string(RecoveryAction action) {
     case RecoveryAction::kCheckpointRestore: return "checkpoint-restore";
     case RecoveryAction::kWatchdogRestart: return "watchdog-restart";
     case RecoveryAction::kWatchdogRefine: return "watchdog-refine";
-    case RecoveryAction::kWatchdogRebound: return "watchdog-rebound";
     case RecoveryAction::kAbort: return "abort";
     case RecoveryAction::kCertificateResolve: return "certificate-resolve";
   }

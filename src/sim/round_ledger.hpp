@@ -44,7 +44,6 @@ enum class RecoveryAction : std::uint8_t {
   kCheckpointRestore,  // outer iteration resumed from the last snapshot
   kWatchdogRestart,    // iteration restarted after a numerical anomaly
   kWatchdogRefine,     // iterative-refinement pass appended to a solve
-  kWatchdogRebound,    // Chebyshev eigenbounds re-estimated on divergence
   kAbort,              // recovery budget exhausted; solve degraded
   kCertificateResolve,  // solve certificate rejected; solve re-attempted
 };

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -272,14 +274,16 @@ TEST(HopDistance, PathReconstruction) {
 }
 
 // Property sweep: connectivity and handshake lemma across generator families.
+// The family is a std::string, not a const char*: gtest prints a char
+// pointer's address into the parameter text that ctest uses as the test name,
+// and that address moves with every build and every run.
 class FamilyTest
-    : public ::testing::TestWithParam<std::tuple<const char*, std::size_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::size_t>> {};
 
 TEST_P(FamilyTest, HandshakeAndConnectivity) {
-  const auto [family, n] = GetParam();
+  const auto& [name, n] = GetParam();
   Rng rng(1234);
   Graph g;
-  const std::string name = family;
   if (name == "path") g = make_path(n);
   else if (name == "cycle") g = make_cycle(n);
   else if (name == "grid") g = make_grid(n / 4, 4);

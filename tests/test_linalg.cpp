@@ -234,32 +234,6 @@ TEST(PreconditionedCg, ExactPreconditionerConvergesInOneIteration) {
   EXPECT_LE(result.iterations, 2u);
 }
 
-TEST(Chebyshev, ConvergesWithTrueBounds) {
-  const Graph g = make_path(8);
-  Rng rng(7);
-  const Vec b = random_rhs(8, rng);
-  // Path Laplacian spectrum ⊂ [2(1−cos(π/8)), 4].
-  const double lmin = 2.0 * (1.0 - std::cos(M_PI / 8.0));
-  SolveOptions options;
-  options.tolerance = 1e-8;
-  options.max_iterations = 2000;
-  const SolveResult result = chebyshev(
-      [&](const Vec& x) { return laplacian_apply(g, x); }, b, lmin, 4.0, options);
-  EXPECT_TRUE(result.converged);
-  const GroundedCholesky chol(g);
-  EXPECT_LT(relative_error_in_l_norm(g, result.x, chol.solve(b)), 1e-4);
-}
-
-TEST(SpectrumBounds, BracketTrueSpectrumOnPath) {
-  const Graph g = make_path(6);
-  const SpectrumBounds bounds = laplacian_spectrum_bounds(g);
-  const double true_max = 2.0 * (1.0 + std::cos(M_PI / 6.0));
-  const double true_min = 2.0 * (1.0 - std::cos(M_PI / 6.0));
-  EXPECT_GE(bounds.lambda_max, true_max);
-  EXPECT_LE(bounds.lambda_min, true_min);
-  EXPECT_GT(bounds.lambda_min, 0.0);
-}
-
 TEST(RelativeError, InvariantToConstantShift) {
   Rng rng(8);
   const Graph g = make_grid(3, 3);

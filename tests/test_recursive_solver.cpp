@@ -152,36 +152,6 @@ TEST(RecursiveSolver, TreePreconditionerAblation) {
   EXPECT_TRUE(report.converged);
 }
 
-TEST(RecursiveSolver, ChebyshevOuterConverges) {
-  const Graph g = make_grid(10, 10);
-  Rng rng(21);
-  ShortcutPaOracle oracle(g, rng);
-  LaplacianSolverOptions options = quick_options(1e-7);
-  options.outer = OuterIteration::kChebyshev;
-  DistributedLaplacianSolver solver(oracle, rng, options);
-  const Vec b = random_rhs(g.num_nodes(), rng);
-  const LaplacianSolveReport report = solver.solve(b);
-  EXPECT_TRUE(report.converged);
-  EXPECT_LE(report.relative_residual, 2e-7);
-}
-
-TEST(RecursiveSolver, PcgBeatsChebyshevInIterations) {
-  const Graph g = make_grid(10, 10);
-  std::size_t pcg_iters = 0, cheb_iters = 0;
-  for (int mode = 0; mode < 2; ++mode) {
-    Rng rng(22);
-    ShortcutPaOracle oracle(g, rng);
-    LaplacianSolverOptions options = quick_options(1e-6);
-    options.outer = mode == 0 ? OuterIteration::kFlexiblePcg
-                              : OuterIteration::kChebyshev;
-    DistributedLaplacianSolver solver(oracle, rng, options);
-    const auto report = solver.solve(random_rhs(g.num_nodes(), rng));
-    EXPECT_TRUE(report.converged);
-    (mode == 0 ? pcg_iters : cheb_iters) = report.outer_iterations;
-  }
-  EXPECT_LT(pcg_iters, cheb_iters);
-}
-
 TEST(RecursiveSolver, ResidualHistoryDecreases) {
   const Graph g = make_grid(9, 9);
   Rng rng(23);
@@ -218,6 +188,17 @@ TEST(RecursiveSolver, RejectsDisconnected) {
   Rng rng(13);
   ShortcutPaOracle oracle(g, rng);
   EXPECT_THROW(DistributedLaplacianSolver(oracle, rng, quick_options()),
+               std::invalid_argument);
+}
+
+TEST(RecursiveSolver, RejectsZeroMaxLevels) {
+  // The chain needs at least its base level.
+  const Graph g = make_grid(6, 6);
+  Rng rng(13);
+  ShortcutPaOracle oracle(g, rng);
+  LaplacianSolverOptions options = quick_options();
+  options.max_levels = 0;
+  EXPECT_THROW(DistributedLaplacianSolver(oracle, rng, options),
                std::invalid_argument);
 }
 
