@@ -1,13 +1,18 @@
 #include "graph/graph.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace dls {
 
 std::string Graph::describe() const {
+  std::size_t max_degree = 0;
+  for (const auto& adj : adjacency_) {
+    max_degree = std::max(max_degree, adj.size());
+  }
   std::ostringstream out;
   out << "Graph(n=" << num_nodes() << ", m=" << num_edges()
-      << ", maxdeg=" << max_degree() << ")";
+      << ", maxdeg=" << max_degree << ")";
   return out.str();
 }
 

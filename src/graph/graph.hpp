@@ -105,12 +105,6 @@ class Graph {
 
   std::size_t degree(NodeId v) const { return neighbors(v).size(); }
 
-  std::size_t max_degree() const {
-    std::size_t best = 0;
-    for (const auto& adj : adjacency_) best = std::max(best, adj.size());
-    return best;
-  }
-
   /// Sum of all edge weights incident to v (the Laplacian diagonal entry).
   Weight weighted_degree(NodeId v) const {
     Weight sum = 0;

@@ -77,44 +77,6 @@ bool CongestedPaOracle::is_measured(InstanceId instance) const {
   return instances_[instance].measured;
 }
 
-std::vector<double> CongestedPaOracle::aggregate_into(
-    InstanceId instance, const std::vector<std::vector<double>>& values,
-    const AggregationMonoid& monoid, RoundLedger& ledger,
-    std::uint64_t& pa_calls) const {
-  DLS_REQUIRE(instance < instances_.size(), "unknown oracle instance");
-  const Prepared& prepared = instances_[instance];
-  DLS_REQUIRE(prepared.measured,
-              "aggregate_into requires a warmed instance; call warm() before "
-              "fanning a batch out");
-  DLS_REQUIRE(values.size() == prepared.pc.num_parts(), "values mismatch");
-  // The ambient tracer here is a per-slot tracer on batched paths (the
-  // caller installed it with the slot's private ledger as the clock), so the
-  // span lands in the slot's trace and merges slot-indexed.
-  ClockScope clock(Tracer::ambient(), ledger_clock(ledger));
-  ScopedSpan span(Tracer::ambient(), "pa/call", SpanKind::kPaCall);
-  if (span.active()) {
-    span.note(name());
-    span.counter("instance", instance);
-    span.counter("rho", prepared.rho);
-    span.counter("parts", prepared.pc.num_parts());
-  }
-  ++pa_calls;
-  if (const std::uint64_t local = effective_local(prepared); local > 0) {
-    ledger.charge_local(local, pa_label(), prepared.cost.congestion);
-  }
-  if (prepared.cost.global_rounds > 0) {
-    ledger.charge_global(prepared.cost.global_rounds, pa_label(),
-                         prepared.cost.congestion);
-  }
-  std::vector<double> results(prepared.pc.num_parts(), monoid.identity);
-  for (std::size_t i = 0; i < prepared.pc.num_parts(); ++i) {
-    DLS_REQUIRE(values[i].size() == prepared.pc.parts[i].size(),
-                "values size mismatch");
-    for (double v : values[i]) results[i] = monoid.op(results[i], v);
-  }
-  return results;
-}
-
 void CongestedPaOracle::charge_aggregate(InstanceId instance) {
   DLS_REQUIRE(instance < instances_.size(), "unknown oracle instance");
   Prepared& prepared = instances_[instance];
@@ -150,6 +112,9 @@ void CongestedPaOracle::charge_aggregate_into(InstanceId instance,
   DLS_REQUIRE(prepared.measured,
               "charge_aggregate_into requires a warmed instance; call warm() "
               "before fanning a batch out");
+  // The ambient tracer here is a per-slot tracer on batched paths (the
+  // caller installed it with the slot's private ledger as the clock), so the
+  // span lands in the slot's trace and merges slot-indexed.
   ClockScope clock(Tracer::ambient(), ledger_clock(ledger));
   ScopedSpan span(Tracer::ambient(), "pa/call", SpanKind::kPaCall);
   if (span.active()) {
@@ -219,14 +184,6 @@ void CongestedPaOracle::charge_batched(InstanceId instance, std::size_t n,
   if (global > 0) {
     ledger.charge_global(global, name() + "-pa-batched", congestion);
   }
-}
-
-std::uint64_t CongestedPaOracle::construction_rounds(InstanceId instance) const {
-  DLS_REQUIRE(instance < instances_.size(), "unknown oracle instance");
-  const Prepared& prepared = instances_[instance];
-  DLS_REQUIRE(prepared.measured,
-              "construction cost requires a measured instance");
-  return prepared.cost.construction_local_rounds;
 }
 
 std::uint64_t CongestedPaOracle::measured_local_rounds(

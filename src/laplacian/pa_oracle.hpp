@@ -61,16 +61,6 @@ class CongestedPaOracle {
   void warm(InstanceId instance);
   bool is_measured(InstanceId instance) const;
 
-  /// Replays a measured instance into a caller-owned ledger: folds `values`
-  /// and charges `ledger` with exactly the entries aggregate() would have
-  /// charged the shared ledger, incrementing `pa_calls`. Touches no shared
-  /// mutable state, so concurrent calls on distinct ledgers are safe — this
-  /// is the per-RHS charging path of batched solves (docs/BATCHING.md).
-  std::vector<double> aggregate_into(
-      InstanceId instance, const std::vector<std::vector<double>>& values,
-      const AggregationMonoid& monoid, RoundLedger& ledger,
-      std::uint64_t& pa_calls) const;
-
   /// Charge-only fast path: identical span, counters, measure-on-first-use
   /// and ledger charges to aggregate(), but no per-part values and no fold.
   /// For call sites that use the PA phase purely as round accounting (the
@@ -78,8 +68,11 @@ class CongestedPaOracle {
   /// is the only allocating part, and it is dead work there).
   void charge_aggregate(InstanceId instance);
 
-  /// Charge-only twin of aggregate_into (requires a measured instance);
-  /// charges `ledger` exactly what aggregate_into would, fold elided.
+  /// Replays a measured instance into a caller-owned ledger: charges
+  /// `ledger` with exactly the entries charge_aggregate() would have charged
+  /// the shared ledger, incrementing `pa_calls`. Touches no shared mutable
+  /// state, so concurrent calls on distinct ledgers are safe — this is the
+  /// per-RHS charging path of batched solves (docs/BATCHING.md).
   void charge_aggregate_into(InstanceId instance, RoundLedger& ledger,
                              std::uint64_t& pa_calls) const;
 
@@ -113,10 +106,6 @@ class CongestedPaOracle {
   void set_warm_charging(bool warm) { warm_charging_ = warm; }
   bool warm_charging() const { return warm_charging_; }
 
-  /// CONGEST-model shortcut-construction rounds embedded in the measured
-  /// local cost of `instance` (the "construct-*" phases of its measure()
-  /// run); zero under Supported-CONGEST / NCC. Requires a measured instance.
-  std::uint64_t construction_rounds(InstanceId instance) const;
   /// Full measured per-call cost of `instance` (requires measured) —
   /// independent of warm-charging mode; what one cold aggregate() charges.
   std::uint64_t measured_local_rounds(InstanceId instance) const;

@@ -10,6 +10,14 @@
 
 namespace dls {
 
+namespace {
+
+/// Relative residual each inner (preconditioner-level) solve aims for. Crude
+/// on purpose: the outer flexible PCG absorbs the inexactness.
+constexpr double kInnerTolerance = 0.2;
+
+}  // namespace
+
 DistributedLaplacianSolver::DistributedLaplacianSolver(
     CongestedPaOracle& oracle, Rng& rng, const LaplacianSolverOptions& options)
     : oracle_(oracle), options_(options) {
@@ -326,7 +334,7 @@ void DistributedLaplacianSolver::apply_preconditioner_into(
   lv.elim.forward_rhs_into(r, *work, *reduced);
   project_mean_zero(*reduced);
   std::size_t inner_iters = 0;
-  solve_level(ctx, level + 1, *reduced, options_.inner_tolerance,
+  solve_level(ctx, level + 1, *reduced, kInnerTolerance,
               options_.inner_iterations, *schur_x, &inner_iters);
   if (lv.elim.max_chain_hops > 0) {
     ctx_ledger(ctx).charge_local(lv.elim.max_chain_hops,

@@ -46,7 +46,6 @@ struct LaplacianSolverOptions {
   std::size_t max_levels = 16;
   std::size_t max_outer_iterations = 600;
   std::size_t inner_iterations = 10;   // per preconditioner level
-  double inner_tolerance = 0.2;        // crude inner residual target
   bool tree_preconditioner_only = false;  // ablation: bare-tree sparsifier
   /// Numerical watchdog over the top-level outer iteration: NaN/Inf guards on
   /// matvecs and inner products, stagnation/divergence detection, budgeted
@@ -201,8 +200,8 @@ class DistributedLaplacianSolver {
   /// nullptr) is the shared path: rounds go to the oracle's ledger and PA
   /// calls bump the oracle's counter, exactly the historical behaviour. A
   /// batch slot instead carries a private ledger + counter so concurrent
-  /// solves never touch shared mutable state (aggregate_into is const); the
-  /// session merges the private ledgers afterwards in slot order.
+  /// solves never touch shared mutable state (charge_aggregate_into is
+  /// const); the session merges the private ledgers afterwards in slot order.
   struct SolveContext {
     RoundLedger* ledger = nullptr;  // nullptr → shared (oracle) accounting
     std::uint64_t pa_calls = 0;     // private-path call count

@@ -69,15 +69,6 @@ void project_mean_zero(Vec& a) {
   for (double& v : a) v -= mean;
 }
 
-double max_abs_diff(const Vec& a, const Vec& b) {
-  DLS_REQUIRE(a.size() == b.size(), "max_abs_diff: size mismatch");
-  double best = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    best = std::max(best, std::abs(a[i] - b[i]));
-  }
-  return best;
-}
-
 namespace {
 
 inline std::size_t num_blocks(std::size_t n) {

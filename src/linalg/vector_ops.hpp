@@ -58,9 +58,6 @@ void xpay(const Vec& x, double beta, Vec& y);
 /// Laplacian's range for a connected graph).
 void project_mean_zero(Vec& a);
 
-/// Max |a_i - b_i|.
-double max_abs_diff(const Vec& a, const Vec& b);
-
 // --- Deterministic blocked kernels (thread-count-invariant fp results) ----
 
 /// Σ a_i b_i over fixed blocks, partials combined in block order. With

@@ -352,8 +352,8 @@ void FaultyNetwork::step() {
         if (!integrity_ok(msg)) {
           // Checksummed sender: the receiver's verification fails, so the
           // whole transmission (clones included) is discarded — detected
-          // corruption behaves exactly like a drop, and the ack/retry loop
-          // above (reliable_send) retransmits.
+          // corruption behaves exactly like a drop, and the sender's
+          // ack/retry loop retransmits.
           ++corrupt_detected_;
           ++dropped_;
           static MetricCounter& detected =

@@ -102,7 +102,7 @@ struct FaultConfig {
   /// message occupies its directed slot for 2 rounds instead of 1 — and a
   /// corrupted payload fails verification at the receiver, which discards it
   /// exactly like a drop (the sender retransmits). Message-level consumers
-  /// (FaultyNetwork, reliable_send) opt in per message instead, via
+  /// (FaultyNetwork) opt in per message instead, via
   /// CongestMessage::checksummed / with_integrity (sim/sync_network.hpp).
   bool integrity = false;
 
@@ -294,7 +294,7 @@ class FaultyNetwork {
   std::uint64_t suppressed_sends() const { return suppressed_sends_; }
   /// Corrupted transmissions whose receiver-side checksum verification
   /// failed (checksummed messages only); each is treated as a drop, feeding
-  /// whatever ack/retry loop rides above (e.g. reliable_send).
+  /// whatever ack/retry loop the sender runs above the message plane.
   std::uint64_t corrupt_detected() const { return corrupt_detected_; }
   /// Corrupted payloads delivered verbatim (unchecksummed messages): silent
   /// data corruption the message plane cannot see — the verify layer's job.

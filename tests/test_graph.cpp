@@ -147,6 +147,31 @@ TEST(Generators, WeightedGridWeightsInRange) {
   }
 }
 
+TEST(PreferentialAttachment, StructureAndConnectivity) {
+  Rng rng(2);
+  const Graph g = make_preferential_attachment(200, 3, rng);
+  EXPECT_EQ(g.num_nodes(), 200u);
+  EXPECT_TRUE(is_connected(g));
+  // Seed K4 (6 edges) plus m = 3 edges per each of the remaining nodes.
+  EXPECT_EQ(g.num_edges(), 6u + (200 - 4) * 3);
+}
+
+TEST(PreferentialAttachment, SmallDiameter) {
+  Rng rng(3);
+  const Graph g = make_preferential_attachment(400, 3, rng);
+  EXPECT_LE(exact_diameter(g), 8u);  // "social network" folklore: D = O(log n)
+}
+
+TEST(PreferentialAttachment, HubsEmerge) {
+  Rng rng(4);
+  const Graph g = make_preferential_attachment(300, 2, rng);
+  std::size_t max_deg = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    max_deg = std::max(max_deg, g.degree(v));
+  }
+  EXPECT_GE(max_deg, 12u);  // heavy-tailed degree distribution
+}
+
 TEST(Bfs, DistancesOnGrid) {
   const Graph g = make_grid(4, 4);
   const BfsResult r = bfs(g, 0);

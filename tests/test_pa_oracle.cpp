@@ -94,6 +94,71 @@ TEST(PaOracle, LocalExchangeChargesOneRound) {
   EXPECT_EQ(oracle.ledger().total_local(), 2u);
 }
 
+std::vector<LedgerEntry> entries_since(const RoundLedger& ledger,
+                                       std::size_t mark) {
+  return {ledger.entries().begin() + static_cast<std::ptrdiff_t>(mark),
+          ledger.entries().end()};
+}
+
+// The shared path (aggregate), its charge-only twin (charge_aggregate) and
+// the private batch-slot path (charge_aggregate_into) must charge the same
+// entry and count one PA call each: a batched solve is bit-identical to
+// sequential solves only because the three agree.
+void expect_charge_paths_agree(CongestedPaOracle& oracle, bool global_model) {
+  SCOPED_TRACE(oracle.name());
+  PartCollection global;
+  global.parts.emplace_back();
+  for (NodeId v = 0; v < oracle.graph().num_nodes(); ++v) {
+    global.parts[0].push_back(v);
+  }
+  const auto id = oracle.prepare(global);
+  RoundLedger slot;
+  std::uint64_t slot_calls = 0;
+  EXPECT_THROW(oracle.charge_aggregate_into(id, slot, slot_calls),
+               std::invalid_argument);
+  oracle.warm(id);
+
+  std::size_t mark = oracle.ledger().entries().size();
+  oracle.aggregate(id, values_for(global, 1.0), AggregationMonoid::sum());
+  const std::vector<LedgerEntry> by_aggregate =
+      entries_since(oracle.ledger(), mark);
+  EXPECT_EQ(oracle.pa_calls(), 1u);
+
+  mark = oracle.ledger().entries().size();
+  oracle.charge_aggregate(id);
+  const std::vector<LedgerEntry> by_charge =
+      entries_since(oracle.ledger(), mark);
+  EXPECT_EQ(oracle.pa_calls(), 2u);
+
+  const RoundLedger shared_before = oracle.ledger();
+  oracle.charge_aggregate_into(id, slot, slot_calls);
+  EXPECT_EQ(slot_calls, 1u);
+  // The private path leaves the shared counter and ledger alone.
+  EXPECT_EQ(oracle.pa_calls(), 2u);
+  EXPECT_TRUE(oracle.ledger() == shared_before);
+
+  ASSERT_EQ(by_aggregate.size(), 1u);
+  EXPECT_EQ(by_aggregate[0].label, oracle.name() + "-pa");
+  if (global_model) {
+    EXPECT_EQ(by_aggregate[0].local_rounds, 0u);
+    EXPECT_GT(by_aggregate[0].global_rounds, 0u);
+  } else {
+    EXPECT_GT(by_aggregate[0].local_rounds, 0u);
+    EXPECT_EQ(by_aggregate[0].global_rounds, 0u);
+  }
+  EXPECT_EQ(by_charge, by_aggregate);
+  EXPECT_EQ(slot.entries(), by_aggregate);
+}
+
+TEST(PaOracle, ChargePathsChargeIdentically) {
+  const Graph g = make_grid(6, 6);
+  Rng shortcut_rng(10), ncc_rng(10);
+  ShortcutPaOracle shortcut(g, shortcut_rng);
+  expect_charge_paths_agree(shortcut, /*global_model=*/false);
+  NccPaOracle ncc(g, ncc_rng);
+  expect_charge_paths_agree(ncc, /*global_model=*/true);
+}
+
 TEST(PaOracle, RejectsInvalidPartCollection) {
   const Graph g = make_path(5);
   Rng rng(8);

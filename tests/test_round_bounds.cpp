@@ -7,13 +7,11 @@
 #include <cmath>
 
 #include "congested_pa/solver.hpp"
-#include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "laplacian/pa_oracle.hpp"
 #include "shortcuts/construction.hpp"
 #include "shortcuts/partwise_aggregation.hpp"
 #include "sim/ncc.hpp"
-#include "sim/protocols.hpp"
 
 namespace dls {
 namespace {
@@ -92,17 +90,6 @@ TEST(RoundBounds, Lemma26NccEnvelope) {
     EXPECT_LE(outcome.rounds,
               static_cast<std::uint64_t>(6.0 * (static_cast<double>(rho) + logn)))
         << "rho " << rho;
-  }
-}
-
-TEST(RoundBounds, FloodingBfsIsEccentricityPlusOne) {
-  Rng rng(5);
-  for (int trial = 0; trial < 4; ++trial) {
-    const Graph g = make_random_tree(40, rng);
-    const NodeId root = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-    const DistributedBfsResult result = distributed_bfs(g, root);
-    EXPECT_EQ(result.rounds,
-              static_cast<std::uint64_t>(bfs(g, root).eccentricity()) + 1);
   }
 }
 
