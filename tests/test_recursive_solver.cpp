@@ -212,6 +212,55 @@ TEST(RecursiveSolver, ZeroRhsGivesZero) {
   for (double v : report.x) EXPECT_NEAR(v, 0.0, 1e-12);
 }
 
+// R(u, v) = (χ_u − χ_v)ᵀ L⁺ (χ_u − χ_v): one solve against χ_u − χ_v, read
+// off as the potential gap x_u − x_v. The series and parallel laws pin the
+// solver's potentials exactly on small networks.
+double effective_resistance(DistributedLaplacianSolver& solver, NodeId u,
+                            NodeId v) {
+  Vec b(solver.graph().num_nodes(), 0.0);
+  b[u] = 1.0;
+  b[v] = -1.0;
+  const LaplacianSolveReport report = solver.solve(b);
+  return report.x[u] - report.x[v];
+}
+
+DistributedLaplacianSolver tight_solver(ShortcutPaOracle& oracle, Rng& rng) {
+  LaplacianSolverOptions options;
+  options.tolerance = 1e-10;
+  options.base_size = 64;
+  return DistributedLaplacianSolver(oracle, rng, options);
+}
+
+TEST(EffectiveResistance, PathIsHopCount) {
+  const Graph g = make_path(6);
+  Rng rng(1);
+  ShortcutPaOracle oracle(g, rng);
+  auto solver = tight_solver(oracle, rng);
+  EXPECT_NEAR(effective_resistance(solver, 0, 5), 5.0, 1e-6);
+  EXPECT_NEAR(effective_resistance(solver, 1, 3), 2.0, 1e-6);
+}
+
+TEST(EffectiveResistance, ParallelEdgesHalve) {
+  Graph g(2);
+  g.add_edge(0, 1, 1.0);
+  g.add_edge(0, 1, 1.0);
+  Rng rng(2);
+  ShortcutPaOracle oracle(g, rng);
+  auto solver = tight_solver(oracle, rng);
+  EXPECT_NEAR(effective_resistance(solver, 0, 1), 0.5, 1e-8);
+}
+
+TEST(EffectiveResistance, CycleSeriesParallel) {
+  // C_n between adjacent nodes: 1 ∥ (n−1) = (n−1)/n.
+  const std::size_t n = 8;
+  const Graph g = make_cycle(n);
+  Rng rng(3);
+  ShortcutPaOracle oracle(g, rng);
+  auto solver = tight_solver(oracle, rng);
+  EXPECT_NEAR(effective_resistance(solver, 0, 1),
+              static_cast<double>(n - 1) / static_cast<double>(n), 1e-6);
+}
+
 class SolverSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(SolverSweep, ConvergesAcrossFamiliesAndSeeds) {
