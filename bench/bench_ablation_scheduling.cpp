@@ -55,7 +55,7 @@ int main() {
     }
     Shortcut shared;
     shared.h_edges.assign(c.parts.num_parts(), tree_edges);
-    for (const auto [policy, name] :
+    for (const auto& [policy, name] :
          {std::pair{SchedulingPolicy::kRandomPriority, "random-delay"},
           std::pair{SchedulingPolicy::kFifo, "fifo"},
           std::pair{SchedulingPolicy::kPartOrdered, "part-ordered"}}) {

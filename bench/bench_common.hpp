@@ -72,11 +72,6 @@ struct BenchRuntime {
   /// `--trace PATH`: hierarchical span trace of the whole run (null when the
   /// flag is absent — the default path stays untraced and bit-identical).
   std::unique_ptr<TraceSession> trace;
-  /// `--cache`: drivers that serve repeated solves route them through a
-  /// warm SolverCache entry (laplacian/solver_cache.hpp) instead of a bare
-  /// per-run stack. Off by default: the uncached path and its golden traces
-  /// are untouched.
-  bool cache = false;
 
   /// The pool to hand to SimBatch / solver options (null ⇒ serial).
   ThreadPool* pool_ptr() const { return pool.get(); }
@@ -95,7 +90,6 @@ inline BenchRuntime bench_runtime(int argc, const char* const* argv) {
     runtime.pool = std::make_unique<ThreadPool>(runtime.threads);
   }
   runtime.supervisor = supervisor_mode_from_string(flags.get("supervisor", "off"));
-  runtime.cache = flags.get_bool("cache", false);
   const std::string trace_path = flags.get("trace", "");
   if (!trace_path.empty()) {
     runtime.trace = std::make_unique<TraceSession>(trace_path);
@@ -191,7 +185,7 @@ inline std::vector<std::vector<double>> unit_values(const PartCollection& pc) {
 }
 
 /// Compact table cell for a solve's recovery trace: "-" on clean solves,
-/// otherwise the engaged counters, e.g. "3r 1b" or "2r 1b 1d 2c".
+/// otherwise the engaged counters, e.g. "3r 1b" or "2r 1b 1d 2w".
 inline std::string recovery_cell(const RecoveryCounters& c) {
   if (!c.any()) return "-";
   std::string out;
@@ -204,7 +198,6 @@ inline std::string recovery_cell(const RecoveryCounters& c) {
   append(c.retries, 'r');
   append(c.rebuilds, 'b');
   append(c.degradations, 'd');
-  append(c.checkpoints_restored, 'c');
   append(c.watchdog_restarts, 'w');
   return out;
 }
@@ -218,19 +211,14 @@ void print_level_recovery(const std::string& heading,
   bool printed_heading = false;
   for (std::size_t level = 0; level < stats.size(); ++level) {
     const auto& s = stats[level];
-    if (s.pa_retries + s.pa_rebuilds + s.pa_degradations +
-            s.checkpoints_restored ==
-        0) {
-      continue;
-    }
+    if (s.pa_retries + s.pa_rebuilds + s.pa_degradations == 0) continue;
     if (!printed_heading) {
-      std::cout << heading << " (level: retries, rebuilds, degradations, "
-                << "checkpoint restores)\n";
+      std::cout << heading << " (level: retries, rebuilds, degradations)\n";
       printed_heading = true;
     }
     std::cout << "  level " << level << (s.is_base ? " (base)" : "") << ": "
               << s.pa_retries << ", " << s.pa_rebuilds << ", "
-              << s.pa_degradations << ", " << s.checkpoints_restored << "\n";
+              << s.pa_degradations << "\n";
   }
 }
 

@@ -39,7 +39,7 @@ int main() {
   {
     const Graph g = make_grid(12, 12);
     Table table({"model", "approx ratio", "local rounds", "global rounds"});
-    for (const auto [model, name] :
+    for (const auto& [model, name] :
          {std::pair{MaxFlowModel::kShortcut, "CONGEST (shortcut)"},
           std::pair{MaxFlowModel::kBaseline, "CONGEST (baseline)"},
           std::pair{MaxFlowModel::kNcc, "HYBRID (ncc)"}}) {

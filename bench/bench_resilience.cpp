@@ -146,6 +146,9 @@ int main(int argc, char** argv) {
         out.converged = report.converged;
         out.degraded = report.degraded.has_value();
         out.bit_identical = report.x == want.x;
+        DLS_REQUIRE(out.degraded || (out.converged && out.bit_identical),
+                    "a completed supervised solve must be bit-identical to "
+                    "the fault-free reference");
 
         const char* result = out.degraded   ? "degraded"
                              : !out.converged ? "CHECK"

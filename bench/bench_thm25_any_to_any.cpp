@@ -81,8 +81,7 @@ int main() {
   for (Case& c : cases) {
     const UnicastSolution solution =
         any_to_any_cast(c.graph, c.inst.sources, c.inst.sinks, rng);
-    const std::uint64_t rounds =
-        simulate_packet_routing(c.graph, solution.paths, rng);
+    const std::uint64_t rounds = simulate_packet_routing(solution.paths, rng);
     const SqEstimate sq = estimate_shortcut_quality(c.graph, rng);
     table.add_row({c.name, Table::cell(c.inst.sources.size()),
                    Table::cell(solution.quality()), Table::cell(rounds),

@@ -282,7 +282,7 @@ CongestedPaOracle::Measured NccPaOracle::measure(const PartCollection& pc) {
     DLS_ASSERT(outcome.results[i] == static_cast<double>(pc.parts[i].size()),
                "NCC PA run disagrees with sequential fold");
   }
-  return {0, outcome.rounds};
+  return {0, outcome.rounds, 0, {}};
 }
 
 CongestedPaOracle::Measured BaselinePaOracle::measure(const PartCollection& pc) {

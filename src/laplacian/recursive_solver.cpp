@@ -350,9 +350,7 @@ void DistributedLaplacianSolver::solve_level(SolveContext& ctx,
                                              Vec& x_out,
                                              std::size_t* iterations_out,
                                              std::vector<double>* history,
-                                             CheckpointManager* ckpt,
-                                             NumericalWatchdog* wd,
-                                             const SolverCheckpoint* resume) {
+                                             NumericalWatchdog* wd) {
   Level& lv = levels_[level];
   SolveWorkspace& ws = ctx_ws(ctx);
   if (iterations_out != nullptr) *iterations_out = 0;
@@ -397,27 +395,11 @@ void DistributedLaplacianSolver::solve_level(SolveContext& ctx,
   Vec& r_prev = *r_prev_l;
   Vec& ap = *ap_l;
   Vec& dr = *dr_l;
-  double rz = 0.0;
-  std::size_t start_it = 0;
-  if (resume != nullptr) {
-    // Mid-recurrence restart from a snapshot: the recurrence state is copied
-    // back verbatim, so the resumed trajectory is the one the snapshot froze.
-    x_out = resume->x;
-    r = resume->r;
-    r_prev = resume->r_prev;
-    p = resume->p;
-    z = resume->z;
-    rz = resume->rz;
-    start_it = resume->iteration;
-    if (iterations_out != nullptr) *iterations_out = start_it;
-    if (history != nullptr) *history = resume->residual_history;
-  } else {
-    r = rhs;
-    apply_preconditioner_into(ctx, level, r, z, ws);
-    p = z;
-    rz = charged_dot(ctx, r, z);
-    r_prev = r;
-  }
+  r = rhs;
+  apply_preconditioner_into(ctx, level, r, z, ws);
+  p = z;
+  double rz = charged_dot(ctx, r, z);
+  r_prev = r;
   // Watchdog remediation: recompute the true residual from the current
   // iterate (fully charged — the remediation matvec is real work) and reset
   // the search direction to preconditioned steepest descent. A poisoned
@@ -443,7 +425,7 @@ void DistributedLaplacianSolver::solve_level(SolveContext& ctx,
     event.detail = to_string(signal);
     ctx_ledger(ctx).record_recovery(std::move(event));
   };
-  for (std::size_t it = start_it; it < max_iter; ++it) {
+  for (std::size_t it = 0; it < max_iter; ++it) {
     // One span per *outer* PCG iteration; inner (recursive) solves are
     // covered by their level span, so the trace stays proportional to the
     // hierarchy, not to the product of all inner iteration counts.
@@ -498,28 +480,6 @@ void DistributedLaplacianSolver::solve_level(SolveContext& ctx,
         continue;
       }
     }
-    if (ckpt != nullptr && ckpt->due(it + 1)) {
-      // One local round: every node stashes its own coordinates of the
-      // recurrence state. Recorded so the ledger explains the extra rounds.
-      ctx_ledger(ctx).charge_local(1, "solver/checkpoint");
-      SolverCheckpoint snapshot;
-      snapshot.iteration = it + 1;
-      snapshot.x = x_out;
-      snapshot.r = r;
-      snapshot.r_prev = r_prev;
-      snapshot.p = p;
-      snapshot.z = z;
-      snapshot.rz = rz;
-      if (history != nullptr) snapshot.residual_history = *history;
-      ckpt->save(std::move(snapshot));
-      RecoveryEvent event;
-      event.action = RecoveryAction::kCheckpointSave;
-      event.subject = level;
-      event.attempt = static_cast<std::uint32_t>(ckpt->saves());
-      event.rounds_lost = 0;
-      event.detail = "outer iteration " + std::to_string(it + 1);
-      ctx_ledger(ctx).record_recovery(std::move(event));
-    }
     apply_preconditioner_into(ctx, level, r, z, ws);
     // Polak–Ribière: beta = zᵀ(r − r_prev) / rzₖ. The rz division is typed
     // post-hoc: a vanishing rz blows |beta| up and observe_beta raises
@@ -548,7 +508,6 @@ void DistributedLaplacianSolver::reset_recovery_attribution() {
     s.pa_retries = 0;
     s.pa_rebuilds = 0;
     s.pa_degradations = 0;
-    s.checkpoints_restored = 0;
   }
 }
 
@@ -569,9 +528,6 @@ void DistributedLaplacianSolver::attribute_recovery_event(
     case RecoveryAction::kRetry: ++stats_[level].pa_retries; break;
     case RecoveryAction::kRebuild: ++stats_[level].pa_rebuilds; break;
     case RecoveryAction::kDegrade: ++stats_[level].pa_degradations; break;
-    case RecoveryAction::kCheckpointRestore:
-      ++stats_[0].checkpoints_restored;
-      break;
     default: break;  // not attributed to a level
   }
 }
@@ -622,61 +578,29 @@ LaplacianSolveReport DistributedLaplacianSolver::solve_in_context(
 
   LaplacianSolveReport report;
   NumericalWatchdog wd(options_.watchdog);
-  CheckpointManager ckpt(options_.checkpoint);
   std::size_t iterations = 0;
-  const SolverCheckpoint* resume = nullptr;
-  // Outer recovery loop: a ChaosAbortError escaping the oracle (supervisor
-  // off, or its ladder capped at retry) lands here; with checkpointing on we
-  // resume from the last snapshot, else the solve degrades typed. The failed
-  // attempt's rounds are already on the ledger — they were charged live.
-  for (;;) {
-    try {
-      report.residual_history.clear();
-      solve_level(ctx, 0, rhs, options_.tolerance,
-                  options_.max_outer_iterations, report.x, &iterations,
-                  &report.residual_history, &ckpt, &wd, resume);
-      break;
-    } catch (const ChaosAbortError& e) {
-      if (!ckpt.can_restore()) {
-        RecoveryEvent event;
-        event.action = RecoveryAction::kAbort;
-        event.subject = 0;
-        event.attempt = static_cast<std::uint32_t>(ckpt.restores());
-        event.detail = e.what();
-        ledger.record_recovery(std::move(event));
-        DegradedResult degraded;
-        degraded.tier = highest_tier(ledger);
-        degraded.reason = e.what();
-        degraded.completed_iterations = iterations;
-        report.degraded = std::move(degraded);
-        // Best partial iterate: the last snapshot if any, else zero.
-        const SolverCheckpoint* last = ckpt.latest();
-        report.x = last != nullptr ? last->x : Vec(g.num_nodes(), 0.0);
-        if (last != nullptr) {
-          report.residual_history = last->residual_history;
-          iterations = last->iteration;
-        } else {
-          report.residual_history.clear();
-          iterations = 0;
-        }
-        break;
-      }
-      const std::size_t gap = ckpt.replayed_gap(iterations);
-      resume = ckpt.restore();
-      RecoveryEvent event;
-      event.action = RecoveryAction::kCheckpointRestore;
-      event.subject = 0;
-      event.attempt = static_cast<std::uint32_t>(ckpt.restores());
-      event.detail = resume != nullptr
-                         ? "resume from iteration " +
-                               std::to_string(resume->iteration) +
-                               ", replaying " + std::to_string(gap) +
-                               " iterations: " + e.what()
-                         : std::string("no snapshot yet — replay from "
-                                       "iteration 0: ") +
-                               e.what();
-      ledger.record_recovery(std::move(event));
-    }
+  // A ChaosAbortError escaping the oracle (supervisor off, or its ladder
+  // capped at retry) degrades the solve typed. Oracle recovery is the
+  // supervisor's ladder, which re-runs only the wedged measurement; the
+  // failed attempt's rounds are already on the ledger, charged live.
+  try {
+    solve_level(ctx, 0, rhs, options_.tolerance, options_.max_outer_iterations,
+                report.x, &iterations, &report.residual_history, &wd);
+  } catch (const ChaosAbortError& e) {
+    RecoveryEvent event;
+    event.action = RecoveryAction::kAbort;
+    event.subject = 0;
+    event.detail = e.what();
+    ledger.record_recovery(std::move(event));
+    DegradedResult degraded;
+    degraded.tier = highest_tier(ledger);
+    degraded.reason = e.what();
+    degraded.completed_iterations = iterations;
+    report.degraded = std::move(degraded);
+    // No partial iterate survives the unwind: x is zero.
+    report.x.assign(g.num_nodes(), 0.0);
+    report.residual_history.clear();
+    iterations = 0;
   }
   report.outer_iterations = iterations;
 

@@ -33,7 +33,6 @@
 #include "linalg/csr.hpp"
 #include "linalg/laplacian.hpp"
 #include "linalg/workspace.hpp"
-#include "resilience/checkpoint.hpp"
 #include "resilience/recovery.hpp"
 #include "resilience/watchdog.hpp"
 
@@ -53,10 +52,6 @@ struct LaplacianSolverOptions {
   /// generous enough that a healthy solve never trips — the clean path is
   /// bit-identical.
   WatchdogConfig watchdog;
-  /// Outer-iteration checkpointing (interval 0 = off, the default): with an
-  /// interval set, a ChaosAbortError escaping the oracle resumes the PCG
-  /// recurrence from the last snapshot instead of iteration 0.
-  CheckpointConfig checkpoint;
 };
 
 struct LevelStats {
@@ -69,12 +64,10 @@ struct LevelStats {
   bool is_base = false;
   /// Recovery attribution of the MOST RECENT solve()/solve_batch() call
   /// (reset at the start of each; they do not accumulate across calls):
-  /// ladder transitions of PA calls owned by this level plus outer-iteration
-  /// checkpoint restores.
+  /// ladder transitions of PA calls owned by this level.
   std::size_t pa_retries = 0;
   std::size_t pa_rebuilds = 0;
   std::size_t pa_degradations = 0;
-  std::size_t checkpoints_restored = 0;
 };
 
 struct LaplacianSolveReport {
@@ -94,9 +87,10 @@ struct LaplacianSolveReport {
   /// Recovery events recorded on the oracle's ledger during this call, folded
   /// into counters (all zero on clean solves).
   RecoveryCounters recovery;
-  /// Set iff the solve gave up after exhausting its recovery budgets: x is
-  /// the best partial iterate and this names the escalation tier reached —
-  /// the typed alternative to an unhandled ChaosAbortError.
+  /// Set iff the solve gave up after exhausting its recovery budgets, naming
+  /// the escalation tier reached — the typed alternative to an unhandled
+  /// ChaosAbortError. x is then zero after an oracle abort, or the iterate
+  /// reached when only the convergence certificate failed.
   std::optional<DegradedResult> degraded;
 };
 
@@ -243,18 +237,14 @@ class DistributedLaplacianSolver {
   /// (must not alias `b`; resized here). All recurrence vectors are leased
   /// from the context's workspace, so steady-state iterations allocate
   /// nothing. `history` (optional) collects per-iteration relative
-  /// residuals. The trailing resilience hooks are wired only on the
-  /// top-level call: `ckpt` snapshots the recurrence every interval
-  /// iterations, `wd` guards the numerics, and `resume` (a snapshot from a
-  /// caught abort) restarts mid-recurrence.
+  /// residuals. The watchdog `wd`, which guards the numerics, is wired only
+  /// on the top-level call.
   void solve_level(SolveContext& ctx, std::size_t level, const Vec& b,
                    double tol, std::size_t max_iter, Vec& x_out,
                    std::size_t* iterations_out,
                    std::vector<double>* history = nullptr,
-                   CheckpointManager* ckpt = nullptr,
-                   NumericalWatchdog* wd = nullptr,
-                   const SolverCheckpoint* resume = nullptr);
-  /// The full solve pipeline (outer iteration, recovery loop, refinement,
+                   NumericalWatchdog* wd = nullptr);
+  /// The full solve pipeline (outer iteration, abort handling, refinement,
   /// certificate, report assembly) charging through `ctx`. Shared contexts
   /// additionally reset + update the per-level recovery attribution in
   /// stats_; private (batch-slot) contexts leave stats_ to the session.
@@ -262,7 +252,7 @@ class DistributedLaplacianSolver {
   /// Zeroes the per-solve recovery attribution fields of stats_.
   void reset_recovery_attribution();
   /// Attributes one recovery event to its chain level in stats_ (PA retries,
-  /// rebuilds and degradations by instance; checkpoint restores to level 0).
+  /// rebuilds and degradations by instance).
   void attribute_recovery_event(const RecoveryEvent& e);
 
   CongestedPaOracle& oracle_;

@@ -43,7 +43,8 @@ std::vector<LaplacianSolveReport> SolveSession::solve_batch(
   // happens up front on this thread, in the exact order sequential solves
   // would have triggered it lazily. After this, every slot only *replays*
   // cached costs. A ChaosAbortError here (fault injection during a measure
-  // run) propagates to the caller exactly as it would from solve().
+  // run) propagates out of solve_batch(); the same abort inside solve() is
+  // caught there and degrades that solve typed.
   solver_.warm_instances();
 
   const std::size_t num_instances = solver_.oracle_.num_instances();
@@ -116,10 +117,10 @@ std::vector<LaplacianSolveReport> SolveSession::solve_batch(
   //     R + (n−1)·max(1, peak-slot) local rounds (G + (n−1) global), n being
   //     the number of slots that reached position p.
   //   * Non-PA local phases (matvec-L0 exchanges, elimination chains, base
-  //     transfers, checkpoints) are bandwidth-bound — every RHS ships its own
-  //     words — and group positionally per label at h + (n−1) rounds: a
-  //     1-round exchange degenerates to n rounds (no savings), an h-hop
-  //     chain pipelines.
+  //     transfers, residual checks) are bandwidth-bound — every RHS ships
+  //     its own words — and group positionally per label at h + (n−1)
+  //     rounds: a 1-round exchange degenerates to n rounds (no savings), an
+  //     h-hop chain pipelines.
   //
   // The fold is grouped (instances ascending, then labels lexicographic,
   // positions ascending) rather than interleaved in phase order; totals are

@@ -8,7 +8,6 @@ const char* to_string(EscalationTier tier) {
     case EscalationTier::kRetry: return "retry";
     case EscalationTier::kRebuild: return "rebuild";
     case EscalationTier::kDegrade: return "degrade";
-    case EscalationTier::kCheckpoint: return "checkpoint";
     case EscalationTier::kExhausted: return "exhausted";
   }
   return "?";
@@ -20,10 +19,6 @@ void count_recovery_event(const RecoveryEvent& e, RecoveryCounters& counters) {
     case RecoveryAction::kRetry: ++counters.retries; break;
     case RecoveryAction::kRebuild: ++counters.rebuilds; break;
     case RecoveryAction::kDegrade: ++counters.degradations; break;
-    case RecoveryAction::kCheckpointSave: ++counters.checkpoints_saved; break;
-    case RecoveryAction::kCheckpointRestore:
-      ++counters.checkpoints_restored;
-      break;
     case RecoveryAction::kWatchdogRestart: ++counters.watchdog_restarts; break;
     case RecoveryAction::kWatchdogRefine:
       ++counters.watchdog_refinements;
@@ -58,11 +53,7 @@ EscalationTier highest_tier(const RoundLedger& ledger) {
         break;
       case RecoveryAction::kRebuild: bump(EscalationTier::kRebuild); break;
       case RecoveryAction::kDegrade: bump(EscalationTier::kDegrade); break;
-      case RecoveryAction::kCheckpointRestore:
-        bump(EscalationTier::kCheckpoint);
-        break;
       case RecoveryAction::kAbort: bump(EscalationTier::kExhausted); break;
-      case RecoveryAction::kCheckpointSave:
       case RecoveryAction::kWatchdogRestart:
       case RecoveryAction::kWatchdogRefine:
         break;  // bookkeeping, not escalation

@@ -11,7 +11,6 @@
 //   kRebuild     the shortcut structure was rebuilt before re-attempting
 //   kDegrade     the oracle was demoted to the spanning-tree baseline for
 //                the remainder of the solve
-//   kCheckpoint  the outer iteration resumed from a checkpoint
 //   kExhausted   every budget spent; the solve is degraded (partial result)
 //
 // The ladder's transitions are recorded as RecoveryEvents on the RoundLedger
@@ -32,7 +31,6 @@ enum class EscalationTier : std::uint8_t {
   kRetry,
   kRebuild,
   kDegrade,
-  kCheckpoint,
   kExhausted,
 };
 
@@ -43,16 +41,13 @@ struct RecoveryCounters {
   std::size_t retries = 0;
   std::size_t rebuilds = 0;
   std::size_t degradations = 0;
-  std::size_t checkpoints_saved = 0;
-  std::size_t checkpoints_restored = 0;
   std::size_t watchdog_restarts = 0;
   std::size_t watchdog_refinements = 0;
   std::size_t certificate_resolves = 0;  // solves re-run after a rejected cert
   std::uint64_t rounds_lost = 0;  // simulated work charged to failed attempts
 
   bool any() const {
-    return retries + rebuilds + degradations + checkpoints_saved +
-               checkpoints_restored + watchdog_restarts +
+    return retries + rebuilds + degradations + watchdog_restarts +
                watchdog_refinements + certificate_resolves >
            0;
   }
@@ -77,7 +72,7 @@ EscalationTier highest_tier(const RoundLedger& ledger);
 struct DegradedResult {
   EscalationTier tier = EscalationTier::kExhausted;  // rung reached at give-up
   std::string reason;            // human-readable: what exhausted, where
-  std::size_t completed_iterations = 0;  // outer iterations of the partial x
+  std::size_t completed_iterations = 0;  // outer iterations before giving up
   double partial_residual = 0.0;  // relative residual of the partial x
 };
 

@@ -176,7 +176,7 @@ CongestedPaOracle::Measured SupervisedPaOracle::measure(
 
   if (config_.mode == SupervisorMode::kRetry) {
     // Ladder capped before rung 3: record the give-up and surface the
-    // failure; the solver may still recover via checkpoint restore.
+    // failure; the solver above degrades typed.
     RecoveryEvent event;
     event.action = RecoveryAction::kAbort;
     event.subject = subject;

@@ -75,7 +75,7 @@ Shortcut trivial_shortcut(const PartCollection& pc) {
   return s;
 }
 
-Shortcut tree_restricted_shortcut(const Graph& g, const PartCollection& pc,
+Shortcut tree_restricted_shortcut(const PartCollection& pc,
                                   const RootedSpanningTree& tree) {
   Shortcut s;
   s.h_edges.reserve(pc.num_parts());
@@ -154,7 +154,7 @@ BestShortcut build_best_shortcut(const Graph& g, const PartCollection& pc,
   // Tree-restricted on a centered BFS tree.
   {
     const RootedSpanningTree tree = centered_bfs_tree(g, rng);
-    Shortcut candidate = tree_restricted_shortcut(g, pc, tree);
+    Shortcut candidate = tree_restricted_shortcut(pc, tree);
     const ShortcutQuality q = measure_shortcut(g, pc, candidate);
     if (q.quality() < best.quality.quality()) {
       best.shortcut = std::move(candidate);

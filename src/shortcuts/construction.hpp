@@ -41,7 +41,7 @@ Shortcut trivial_shortcut(const PartCollection& pc);
 
 /// H_i = Steiner subtree of P_i's members in `tree` (pruned exactly: the
 /// minimal subtree spanning the members).
-Shortcut tree_restricted_shortcut(const Graph& g, const PartCollection& pc,
+Shortcut tree_restricted_shortcut(const PartCollection& pc,
                                   const RootedSpanningTree& tree);
 
 struct BestShortcut {

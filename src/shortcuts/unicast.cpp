@@ -144,9 +144,8 @@ UnicastSolution any_to_any_cast(const Graph& g, std::span<const NodeId> sources,
   return best;
 }
 
-std::uint64_t simulate_packet_routing(const Graph& g,
-                                      const std::vector<std::vector<NodeId>>& paths,
-                                      Rng& rng) {
+std::uint64_t simulate_packet_routing(
+    const std::vector<std::vector<NodeId>>& paths, Rng& rng) {
   // Packet i sits at position pos[i] along its path; per round each
   // (edge, direction) admits one packet, random priority per packet.
   struct Packet {

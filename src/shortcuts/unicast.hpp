@@ -50,9 +50,8 @@ UnicastSolution any_to_any_cast(const Graph& g, std::span<const NodeId> sources,
 /// edge-direction per round, random-delay priorities. Returns the measured
 /// number of rounds until every packet arrives — O(congestion + dilation)
 /// with high probability [19].
-std::uint64_t simulate_packet_routing(const Graph& g,
-                                      const std::vector<std::vector<NodeId>>& paths,
-                                      Rng& rng);
+std::uint64_t simulate_packet_routing(
+    const std::vector<std::vector<NodeId>>& paths, Rng& rng);
 
 /// Lemma 24: given multisets (S, T) with any-to-any node connectivity ρ,
 /// partitions them into groups (S_i, T_i) that are each any-to-any

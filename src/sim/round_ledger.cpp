@@ -58,7 +58,7 @@ void RoundLedger::clear() {
 
 void RoundLedger::record_recovery(RecoveryEvent event) {
   // Every recovery transition, wherever it is recorded (supervisor ladder,
-  // solver watchdog, checkpoint restore), becomes a span annotation on the
+  // solver watchdog, solve abort), becomes a span annotation on the
   // ambient trace and a registry tick. No-ops on untraced runs beyond one
   // atomic add; clean runs record no events at all.
   if (Tracer* tracer = Tracer::ambient()) {
@@ -98,8 +98,6 @@ const char* to_string(RecoveryAction action) {
     case RecoveryAction::kRetry: return "retry";
     case RecoveryAction::kRebuild: return "rebuild";
     case RecoveryAction::kDegrade: return "degrade";
-    case RecoveryAction::kCheckpointSave: return "checkpoint-save";
-    case RecoveryAction::kCheckpointRestore: return "checkpoint-restore";
     case RecoveryAction::kWatchdogRestart: return "watchdog-restart";
     case RecoveryAction::kWatchdogRefine: return "watchdog-refine";
     case RecoveryAction::kAbort: return "abort";

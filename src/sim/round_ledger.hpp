@@ -40,8 +40,6 @@ enum class RecoveryAction : std::uint8_t {
   kRetry,              // PA call re-attempted after a ChaosAbortError
   kRebuild,            // shortcut structure rebuilt before re-attempting
   kDegrade,            // oracle demoted to the spanning-tree baseline
-  kCheckpointSave,     // outer-iteration state snapshotted
-  kCheckpointRestore,  // outer iteration resumed from the last snapshot
   kWatchdogRestart,    // iteration restarted after a numerical anomaly
   kWatchdogRefine,     // iterative-refinement pass appended to a solve
   kAbort,              // recovery budget exhausted; solve degraded

@@ -272,7 +272,7 @@ TEST_P(DifferentialRouting, RoutedPathsRespectMeasuredEnvelope) {
     EXPECT_EQ(solution.paths[i].back(), pairs[i].second);
   }
   // Measured schedule within the Leighton–Maggs–Rao envelope.
-  const std::uint64_t rounds = simulate_packet_routing(g, solution.paths, rng);
+  const std::uint64_t rounds = simulate_packet_routing(solution.paths, rng);
   EXPECT_LE(rounds, 4 * (solution.congestion + solution.dilation) + 4);
   EXPECT_GE(rounds, solution.dilation);
 }

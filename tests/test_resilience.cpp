@@ -1,11 +1,11 @@
 // Tests for the self-healing layer: the numerical watchdog and its kernel
-// remediations, checkpoint/resume of the outer iteration, the supervisor's
-// escalation ladder at the PA-oracle boundary, and the end-to-end property
-// the whole subsystem exists for — a supervised solve under fault injection
-// either produces the bit-identical solution of the fault-free run or a
-// typed DegradedResult, never an unhandled throw. Clean runs must stay
-// bit-identical to an unsupervised build (the determinism contract of
-// docs/RESILIENCE.md).
+// remediations, the supervisor's escalation ladder at the PA-oracle
+// boundary, the typed degradation of an unsupervised abort, and the
+// end-to-end property the whole subsystem exists for — a supervised solve
+// under fault injection either produces the bit-identical solution of the
+// fault-free run or a typed DegradedResult, never an unhandled throw. Clean
+// runs must stay bit-identical to an unsupervised build (the determinism
+// contract of docs/RESILIENCE.md).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,7 +16,6 @@
 #include "linalg/solvers.hpp"
 #include "obs/metrics.hpp"
 #include "linalg/vector_ops.hpp"
-#include "resilience/checkpoint.hpp"
 #include "resilience/recovery.hpp"
 #include "resilience/solve_supervisor.hpp"
 #include "resilience/watchdog.hpp"
@@ -216,68 +215,6 @@ TEST(WatchdogKernels, CleanSolveBitIdenticalWithWatchdogDisabled) {
   EXPECT_FALSE(guarded.watchdog.triggered());
 }
 
-// --- CheckpointManager -----------------------------------------------------
-
-TEST(Checkpoint, DisabledByDefault) {
-  CheckpointManager ckpt;
-  EXPECT_FALSE(ckpt.enabled());
-  EXPECT_FALSE(ckpt.due(1));
-  EXPECT_FALSE(ckpt.can_restore());
-  EXPECT_EQ(ckpt.latest(), nullptr);
-}
-
-TEST(Checkpoint, DueSaveRestoreRoundTrip) {
-  CheckpointConfig config;
-  config.interval = 2;
-  CheckpointManager ckpt(config);
-  EXPECT_FALSE(ckpt.due(0));
-  EXPECT_FALSE(ckpt.due(1));
-  EXPECT_TRUE(ckpt.due(2));
-
-  SolverCheckpoint snap;
-  snap.iteration = 2;
-  snap.x = {1.0, 2.0, 3.0};
-  snap.residual_history = {0.5, 0.25};
-  ckpt.save(snap);
-  EXPECT_EQ(ckpt.saves(), 1u);
-  // Already snapshotted at 2: not due again until iteration 4.
-  EXPECT_FALSE(ckpt.due(2));
-  EXPECT_TRUE(ckpt.due(4));
-
-  // latest() peeks without consuming budget.
-  ASSERT_NE(ckpt.latest(), nullptr);
-  EXPECT_EQ(ckpt.latest()->iteration, 2u);
-  EXPECT_EQ(ckpt.restores(), 0u);
-
-  EXPECT_EQ(ckpt.replayed_gap(5), 3u);
-  ASSERT_TRUE(ckpt.can_restore());
-  const SolverCheckpoint* restored = ckpt.restore();
-  ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(restored->x, (Vec{1.0, 2.0, 3.0}));
-  EXPECT_EQ(ckpt.restores(), 1u);
-}
-
-TEST(Checkpoint, RestoreBeforeAnySaveReplaysFromZero) {
-  CheckpointConfig config;
-  config.interval = 3;
-  CheckpointManager ckpt(config);
-  ASSERT_TRUE(ckpt.can_restore());
-  EXPECT_EQ(ckpt.restore(), nullptr);  // nothing snapshotted: replay from 0
-  EXPECT_EQ(ckpt.replayed_gap(4), 4u);
-}
-
-TEST(Checkpoint, ResumeBudgetExhausts) {
-  CheckpointConfig config;
-  config.interval = 1;
-  config.resume_budget = 2;
-  CheckpointManager ckpt(config);
-  EXPECT_TRUE(ckpt.can_restore());
-  ckpt.restore();
-  EXPECT_TRUE(ckpt.can_restore());
-  ckpt.restore();
-  EXPECT_FALSE(ckpt.can_restore());
-}
-
 // --- SupervisedPaOracle: the escalation ladder -----------------------------
 
 /// Deterministic fault source for ladder tests: the first `failures` measure
@@ -298,7 +235,7 @@ class FlakyOracle final : public CongestedPaOracle {
       partial.charge_local(7, "flaky/wedged-phase");
       throw ChaosAbortError("flaky oracle wedged", partial);
     }
-    return {5, 0, {}};
+    return {5, 0, 0, {}};
   }
 
  private:
@@ -647,32 +584,30 @@ TEST(SupervisedSolve, RetryModeExhaustionDegradesTyped) {
   EXPECT_GT(report.recovery.retries + report.recovery.rebuilds, 0u);
 }
 
-// Unsupervised solver + transient oracle failures: checkpoint/resume absorbs
-// the aborts inside solve() and the solve completes with the restores
-// recorded in the report and the level-0 stats.
-TEST(SupervisedSolve, CheckpointResumeAbsorbsTransientAborts) {
+// Transient oracle failures are the supervisor's to absorb: its retry rung
+// re-runs only the wedged measurement, so the solve converges undegraded
+// with the retries recorded in the report and the level-0 stats.
+TEST(SupervisedSolve, RetryRungAbsorbsTransientAborts) {
   const Graph g = make_grid(5, 5);
   const Vec b = messy_rhs(g.num_nodes());
   FlakyOracle flaky(g, 2);  // first two measures wedge, then healthy
-  LaplacianSolverOptions options = chain_options();
-  options.checkpoint.interval = 1;
-  options.checkpoint.resume_budget = 4;
+  SupervisorConfig sup_config;
+  sup_config.mode = SupervisorMode::kRetry;
+  SupervisedPaOracle supervised(flaky, sup_config);
   Rng solver_rng(99);
-  DistributedLaplacianSolver solver(flaky, solver_rng, options);
+  DistributedLaplacianSolver solver(supervised, solver_rng, chain_options());
 
   LaplacianSolveReport report;
   ASSERT_NO_THROW(report = solver.solve(b));
   EXPECT_TRUE(report.converged) << report.relative_residual;
   EXPECT_FALSE(report.degraded.has_value());
-  EXPECT_EQ(report.recovery.checkpoints_restored, 2u);
-  EXPECT_EQ(solver.level_stats()[0].checkpoints_restored, 2u);
-  EXPECT_GT(flaky.ledger().recovery_count(RecoveryAction::kCheckpointRestore),
-            0u);
+  EXPECT_EQ(report.recovery.retries, 2u);
+  EXPECT_EQ(solver.level_stats()[0].pa_retries, 2u);
 }
 
-// Without checkpointing the same transient failures exhaust nothing —
-// there is no resume budget at all — so the solve degrades typed instead.
-TEST(SupervisedSolve, AbortWithoutCheckpointDegradesTyped) {
+// Without a supervisor nothing absorbs the abort, so the solve degrades
+// typed: tier exhausted, no completed iteration, and x = 0.
+TEST(SupervisedSolve, UnsupervisedAbortDegradesTyped) {
   const Graph g = make_grid(5, 5);
   const Vec b = messy_rhs(g.num_nodes());
   FlakyOracle flaky(g, 2);
@@ -681,8 +616,33 @@ TEST(SupervisedSolve, AbortWithoutCheckpointDegradesTyped) {
   LaplacianSolveReport report;
   ASSERT_NO_THROW(report = solver.solve(b));
   ASSERT_TRUE(report.degraded.has_value());
+  EXPECT_EQ(report.degraded->tier, EscalationTier::kExhausted);
+  EXPECT_EQ(report.degraded->completed_iterations, 0u);
   EXPECT_FALSE(report.converged);
-  EXPECT_TRUE(all_finite(report.x));
+  EXPECT_EQ(report.x, Vec(g.num_nodes(), 0.0));
+}
+
+// Oracle faults strike only inside measure(), and a solve measures every
+// instance on its first descent of the chain, before outer iteration 1
+// completes. So an abort always finds the solve at iteration 0, where the
+// supervisor's retry of the one wedged measurement is the cheapest recovery.
+TEST(SupervisedSolve, SolveMeasuresEveryInstanceInItsFirstOuterIteration) {
+  const Graph g = make_grid(12, 12);
+  const Vec b = messy_rhs(g.num_nodes());
+  FlakyOracle counter(g, 0);  // never fails: counts measure calls
+  LaplacianSolverOptions options = chain_options();
+  options.max_outer_iterations = 1;
+  Rng solver_rng(99);
+  DistributedLaplacianSolver solver(counter, solver_rng, options);
+  ASSERT_GE(solver.num_levels(), 3u);
+  EXPECT_EQ(counter.measure_calls(), 0u);  // construction measures nothing
+
+  const LaplacianSolveReport report = solver.solve(b);
+  EXPECT_EQ(report.outer_iterations, 1u);
+  // The global instance plus one matvec instance per non-base level >= 1.
+  EXPECT_EQ(counter.measure_calls(), solver.num_levels() - 1);
+  solver.warm_instances();
+  EXPECT_EQ(counter.measure_calls(), solver.num_levels() - 1);
 }
 
 // The determinism contract, end to end: wrapping a clean oracle in the
@@ -720,7 +680,7 @@ TEST(SupervisedSolve, CleanSupervisedSolveBitIdenticalToUnsupervised) {
 // --- Workspace reuse across the resilience paths ----------------------------
 //
 // The solver's shared lease arena (docs/KERNELS.md) persists across solve()
-// calls, watchdog restarts, checkpoint resumes and supervisor recoveries.
+// calls, watchdog restarts, abort unwinds and supervisor recoveries.
 // These tests pin two properties at once: recycled buffers never change the
 // solution bits, and once warm the arena creates no new backing vectors —
 // observed through the global mem.alloc.ws.* mirrors, since the arena itself
@@ -763,26 +723,34 @@ TEST(WorkspaceReuse, RepeatSolvesReuseWarmArenaBitIdentically) {
   EXPECT_EQ(after.grows, warm.grows);
 }
 
-TEST(WorkspaceReuse, WarmArenaSurvivesCheckpointResumes) {
+TEST(WorkspaceReuse, WarmArenaSurvivesAbortUnwinds) {
   const Graph g = make_grid(5, 5);
   const Vec b = messy_rhs(g.num_nodes());
-  FlakyOracle flaky(g, 2);  // two wedged measures, absorbed by resume
-  LaplacianSolverOptions options = chain_options();
-  options.checkpoint.interval = 1;
-  options.checkpoint.resume_budget = 4;
+  FlakyOracle flaky(g, 4);  // four wedged measures, no supervisor
   Rng solver_rng(99);
-  DistributedLaplacianSolver solver(flaky, solver_rng, options);
+  DistributedLaplacianSolver solver(flaky, solver_rng, chain_options());
 
-  // First solve restores twice; the unwinds release their leases back into
-  // the arena (RAII), so nothing leaks across the restarts.
+  // Each of the first two solves spends one abort in its outer iteration and
+  // one in its certificate, and degrades. The unwinds release their leases
+  // back into the arena (RAII), so the second degraded solve needs no buffer
+  // the first did not already create.
+  LaplacianSolveReport degraded;
+  ASSERT_NO_THROW(degraded = solver.solve(b));
+  EXPECT_TRUE(degraded.degraded.has_value());
+  EXPECT_EQ(flaky.measure_calls(), 2u);
+  const WsMetricSnapshot unwound = WsMetricSnapshot::take();
+  ASSERT_NO_THROW(degraded = solver.solve(b));
+  EXPECT_TRUE(degraded.degraded.has_value());
+  EXPECT_EQ(flaky.measure_calls(), 4u);
+  EXPECT_EQ(WsMetricSnapshot::take().buffers, unwound.buffers);
+
+  // Oracle healthy now: the first healthy solve warms the arena, and the
+  // next runs entirely on recycled buffers to the same solution bits.
   LaplacianSolveReport first;
   ASSERT_NO_THROW(first = solver.solve(b));
   EXPECT_TRUE(first.converged);
-  EXPECT_EQ(first.recovery.checkpoints_restored, 2u);
+  EXPECT_FALSE(first.degraded.has_value());
   const WsMetricSnapshot warm = WsMetricSnapshot::take();
-
-  // Oracle healthy now: the second solve runs entirely on recycled buffers
-  // and lands on the same solution the resumed solve produced.
   LaplacianSolveReport second;
   ASSERT_NO_THROW(second = solver.solve(b));
   EXPECT_TRUE(second.converged);

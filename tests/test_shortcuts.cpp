@@ -94,7 +94,7 @@ TEST(Construction, TreeRestrictedIsExactSteinerTreeOnPath) {
   // is a pair of adjacent nodes far from the root instead.
   pc.parts = {{2, 3}, {7, 8}};
   const RootedSpanningTree t = centered_bfs_tree(g, rng);
-  const Shortcut s = tree_restricted_shortcut(g, pc, t);
+  const Shortcut s = tree_restricted_shortcut(pc, t);
   // The Steiner tree of an adjacent pair is just that edge (or nothing
   // extra): the helper never needs more than the members' span.
   const ShortcutQuality q = measure_shortcut(g, pc, s);
@@ -109,7 +109,7 @@ TEST(Construction, TreeRestrictedConnectsScatteredPart) {
   // A row as a part: its Steiner tree in the BFS tree connects it.
   pc.parts = {{0, 1, 2, 3, 4}};
   const RootedSpanningTree t = centered_bfs_tree(g, rng);
-  const Shortcut s = tree_restricted_shortcut(g, pc, t);
+  const Shortcut s = tree_restricted_shortcut(pc, t);
   const ShortcutQuality q = measure_shortcut(g, pc, s);  // throws if broken
   EXPECT_GT(q.quality(), 0u);
 }
@@ -121,7 +121,7 @@ TEST(Construction, SteinerTreePrunedToMembers) {
   PartCollection pc;
   pc.parts = {{1, 0, 2}};  // connected: leaf-hub-leaf
   const RootedSpanningTree t = centered_bfs_tree(g, rng);
-  const Shortcut s = tree_restricted_shortcut(g, pc, t);
+  const Shortcut s = tree_restricted_shortcut(pc, t);
   EXPECT_LE(s.h_edges[0].size(), 2u);
 }
 

@@ -55,17 +55,15 @@ TEST(AnyToAnyCast, PicksDisjointPathsWhenAvailable) {
 }
 
 TEST(PacketRouting, SinglePathTakesItsLength) {
-  const Graph g = make_path(9);
   std::vector<std::vector<NodeId>> paths{{0, 1, 2, 3, 4, 5, 6, 7, 8}};
   Rng rng(4);
-  EXPECT_EQ(simulate_packet_routing(g, paths, rng), 8u);
+  EXPECT_EQ(simulate_packet_routing(paths, rng), 8u);
 }
 
 TEST(PacketRouting, ContentionSerializes) {
-  const Graph g = make_path(2);
   std::vector<std::vector<NodeId>> paths(5, std::vector<NodeId>{0, 1});
   Rng rng(5);
-  EXPECT_EQ(simulate_packet_routing(g, paths, rng), 5u);
+  EXPECT_EQ(simulate_packet_routing(paths, rng), 5u);
 }
 
 TEST(PacketRouting, WithinCongestionPlusDilationEnvelope) {
@@ -78,7 +76,7 @@ TEST(PacketRouting, WithinCongestionPlusDilationEnvelope) {
     if (pairs.back().first == pairs.back().second) pairs.pop_back();
   }
   const UnicastSolution s = route_multiple_unicast(g, pairs, rng);
-  const std::uint64_t rounds = simulate_packet_routing(g, s.paths, rng);
+  const std::uint64_t rounds = simulate_packet_routing(s.paths, rng);
   EXPECT_LE(rounds, 4 * (s.congestion + s.dilation));
   EXPECT_GE(rounds, s.dilation);
 }
