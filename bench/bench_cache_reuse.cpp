@@ -83,7 +83,7 @@ struct UpdateStep {
 
 int main(int argc, char** argv) {
   const WallTimer total_timer;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"smoke", "json", "queries", "trace"});
   const bool smoke = flags.get_bool("smoke", false);
   const std::string json_path = flags.get("json", "");
   const auto num_queries =

@@ -113,9 +113,8 @@ std::size_t count_diffs(const CongestedPaOutcome& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
-  const std::string json_path = flags.get("json", "");
-  const BenchRuntime runtime = bench_runtime(argc, argv);
+  const BenchRuntime runtime = bench_runtime(argc, argv, {"json"});
+  const std::string json_path = runtime.flags.get("json", "");
   const WallTimer timer;
   banner("chaos overhead",
          "fault injection inflates rounds; integrity makes corruption exact");

@@ -64,6 +64,8 @@ struct TraceSession {
 /// numbers a bench reports are thread-count invariant (the SimBatch
 /// determinism contract); the thread count only moves wall-clock time.
 struct BenchRuntime {
+  /// The whole command line: the runtime's flags and the bench's own.
+  Flags flags;
   std::size_t threads = 1;
   std::unique_ptr<ThreadPool> pool;  // null when threads == 1
   /// `--supervisor=off|retry|degrade`: whether drivers that solve through a
@@ -79,10 +81,14 @@ struct BenchRuntime {
 
 /// Parses `--threads N` (default 1; 0 means all hardware threads),
 /// `--supervisor MODE` (default off) and `--trace PATH` (default off) and
-/// spins up the worker pool. Unknown flags still error via Flags.
-inline BenchRuntime bench_runtime(int argc, const char* const* argv) {
-  const Flags flags(argc, argv);
+/// spins up the worker pool. `own` names the bench's own flags, which it
+/// reads from `flags`; any other flag throws std::invalid_argument.
+inline BenchRuntime bench_runtime(int argc, const char* const* argv,
+                                  std::vector<std::string> own = {}) {
+  own.insert(own.end(), {"threads", "supervisor", "trace"});
   BenchRuntime runtime;
+  runtime.flags = Flags(argc, argv, own);
+  const Flags& flags = runtime.flags;
   std::int64_t want = flags.get_int("threads", 1);
   if (want == 0) want = static_cast<std::int64_t>(ThreadPool::hardware_threads());
   runtime.threads = want < 1 ? 1 : static_cast<std::size_t>(want);

@@ -62,10 +62,9 @@ std::size_t apply_reps(const Graph& g, bool smoke) {
 
 int main(int argc, char** argv) {
   const WallTimer total_timer;
-  const Flags flags(argc, argv);
-  const bool smoke = flags.get_bool("smoke", false);
-  const std::string json_path = flags.get("json", "");
-  BenchRuntime runtime = bench_runtime(argc, argv);
+  BenchRuntime runtime = bench_runtime(argc, argv, {"smoke", "json"});
+  const bool smoke = runtime.flags.get_bool("smoke", false);
+  const std::string json_path = runtime.flags.get("json", "");
   ThreadPool* pool = runtime.pool.get();
 
   banner("kernel plane",

@@ -57,7 +57,7 @@ std::vector<Vec> make_batch(std::size_t k, std::size_t n, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"smoke", "cache", "json", "trace", "threads"});
   const bool smoke = flags.get_bool("smoke", false);
   const bool use_cache = flags.get_bool("cache", false);
   const std::string json_path = flags.get("json", "");

@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace dls;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"rows", "cols", "eps", "seed"});
   const std::size_t rows = static_cast<std::size_t>(flags.get_int("rows", 16));
   const std::size_t cols = static_cast<std::size_t>(flags.get_int("cols", 16));
   const double eps = flags.get_double("eps", 1e-8);

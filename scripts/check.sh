@@ -30,13 +30,13 @@ ctest --preset asan-ubsan -j "$jobs"
 
 if [[ "$run_tsan" == 1 ]]; then
   # Only the binaries holding the ThreadPool / SimBatch / SolveBatch /
-  # BlockedKernels / SolverCache / Metamorphic suites: TSan's runtime
-  # overhead on the full suite buys nothing — every other test is
+  # BlockedKernels / SolverCache / Metamorphic / SqEstimator suites: TSan's
+  # runtime overhead on the full suite buys nothing — every other test is
   # single-threaded — and the ctest preset filters to those suites anyway.
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs" \
     --target test_util test_sim_sync test_solve_session test_linalg \
-    test_solver_cache test_metamorphic
+    test_solver_cache test_metamorphic test_quality_estimator
   ctest --preset tsan -j "$jobs"
 fi
 

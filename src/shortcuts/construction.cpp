@@ -1,8 +1,6 @@
 #include "shortcuts/construction.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "graph/algorithms.hpp"
 
@@ -77,68 +75,47 @@ Shortcut trivial_shortcut(const PartCollection& pc) {
 
 Shortcut tree_restricted_shortcut(const PartCollection& pc,
                                   const RootedSpanningTree& tree) {
+  // H_i is the Steiner subtree of P_i in the tree: the edge above a node c
+  // of the union of member→root paths belongs to it iff the members below
+  // c are neither none nor all of them. Every union node has a member below
+  // it, so only "all" needs a check. Stamps are the part index + 1, so one
+  // set of arrays serves every part.
+  const std::size_t n = tree.parent.size();
+  std::vector<std::uint32_t> member_stamp(n, 0);
+  std::vector<std::uint32_t> union_stamp(n, 0);
+  std::vector<std::uint32_t> below(n, 0);  // members in the subtree, in union
+  std::vector<NodeId> walk;      // union nodes with an edge up, in walk order
+  std::vector<NodeId> by_depth;  // the same nodes, deepest first
   Shortcut s;
   s.h_edges.reserve(pc.num_parts());
-  for (const auto& part : pc.parts) {
-    // Union of member→root paths, then prune non-member leaves: the exact
-    // Steiner subtree of the members in the tree.
-    std::unordered_map<NodeId, std::size_t> union_degree;
-    std::unordered_set<NodeId> on_union;
-    std::vector<std::pair<NodeId, EdgeId>> union_edges;  // (child, edge up)
+  for (std::size_t i = 0; i < pc.num_parts(); ++i) {
+    const std::vector<NodeId>& part = pc.parts[i];
+    const auto stamp = static_cast<std::uint32_t>(i + 1);
+    std::uint32_t members = 0;
     for (NodeId v : part) {
-      NodeId cur = v;
-      while (on_union.insert(cur).second && cur != tree.root) {
-        union_edges.push_back({cur, tree.parent_edge[cur]});
-        cur = tree.parent[cur];
+      DLS_REQUIRE(v < n, "part member out of range");
+      if (member_stamp[v] != stamp) {
+        member_stamp[v] = stamp;
+        ++members;
       }
     }
-    // Build child-count for pruning.
-    std::unordered_map<NodeId, std::vector<std::pair<NodeId, EdgeId>>> children;
-    for (const auto& [child, e] : union_edges) {
-      children[tree.parent[child]].push_back({child, e});
-      ++union_degree[child];
-      ++union_degree[tree.parent[child]];
-    }
-    const std::unordered_set<NodeId> members(part.begin(), part.end());
-    // Iteratively peel degree-1 non-member nodes.
-    std::vector<NodeId> peel;
-    for (NodeId v : on_union) {
-      if (union_degree[v] == 1 && members.count(v) == 0) peel.push_back(v);
-    }
-    std::unordered_set<EdgeId> removed;
-    std::unordered_map<NodeId, std::pair<NodeId, EdgeId>> up;  // child -> (parent, edge)
-    for (const auto& [child, e] : union_edges) {
-      up[child] = {tree.parent[child], e};
-    }
-    std::unordered_set<NodeId> peeled;
-    while (!peel.empty()) {
-      const NodeId v = peel.back();
-      peel.pop_back();
-      if (!peeled.insert(v).second) continue;
-      // Remove the single incident union edge. It is either v's up-edge or
-      // one of v's child edges (v can be the top of the union).
-      NodeId neighbor = kInvalidNode;
-      if (up.count(v) > 0 && removed.count(up[v].second) == 0) {
-        removed.insert(up[v].second);
-        neighbor = up[v].first;
-      } else {
-        for (const auto& [child, e] : children[v]) {
-          if (removed.count(e) == 0 && peeled.count(child) == 0) {
-            removed.insert(e);
-            neighbor = child;
-            break;
-          }
-        }
-      }
-      if (neighbor == kInvalidNode) continue;
-      if (--union_degree[neighbor] == 1 && members.count(neighbor) == 0) {
-        peel.push_back(neighbor);
+    walk.clear();
+    for (NodeId v : part) {
+      for (NodeId cur = v; union_stamp[cur] != stamp; cur = tree.parent[cur]) {
+        union_stamp[cur] = stamp;
+        below[cur] = member_stamp[cur] == stamp ? 1 : 0;
+        if (cur == tree.root) break;
+        walk.push_back(cur);
       }
     }
+    by_depth.assign(walk.begin(), walk.end());
+    std::sort(by_depth.begin(), by_depth.end(), [&](NodeId a, NodeId b) {
+      return tree.depth[a] > tree.depth[b];
+    });
+    for (NodeId c : by_depth) below[tree.parent[c]] += below[c];
     std::vector<EdgeId> h;
-    for (const auto& [child, e] : union_edges) {
-      (void)child;
-      if (removed.count(e) == 0) h.push_back(e);
+    for (NodeId c : walk) {
+      if (below[c] < members) h.push_back(tree.parent_edge[c]);
     }
     s.h_edges.push_back(std::move(h));
   }

@@ -40,7 +40,7 @@ RootedSpanningTree centered_bfs_tree(const Graph& g, Rng& rng);
 Shortcut trivial_shortcut(const PartCollection& pc);
 
 /// H_i = Steiner subtree of P_i's members in `tree` (pruned exactly: the
-/// minimal subtree spanning the members).
+/// minimal subtree spanning the members). A member id out of range throws.
 Shortcut tree_restricted_shortcut(const PartCollection& pc,
                                   const RootedSpanningTree& tree);
 

@@ -1,52 +1,16 @@
 #include "shortcuts/partwise_aggregation.hpp"
 
-#include <algorithm>
-
 #include "graph/algorithms.hpp"
+#include "shortcuts/part_csr.hpp"
 
 namespace dls {
 
 namespace {
 
-/// Reusable flat buffers for building part trees. Node/edge membership is
-/// epoch-stamped (bump `epoch` instead of clearing), the part-plus-shortcut
-/// adjacency is a CSR over local ids, and one thread-local instance serves
-/// every part of every oracle call — the previous implementation rebuilt an
-/// unordered_map adjacency per part per call, which dominated the oracle's
-/// wall-clock on repeated measurements.
-struct PartTreeScratch {
-  std::uint64_t epoch = 0;
-  std::vector<std::uint64_t> node_epoch;    // node is in the subgraph
-  std::vector<std::uint64_t> member_epoch;  // node is a part member
-  std::vector<std::uint64_t> edge_epoch;    // edge already collected
-  std::vector<std::uint32_t> local_of;      // host node -> local id
-  std::vector<EdgeId> edges;                // collected subgraph edges
-  std::vector<std::uint32_t> deg;
-  std::vector<std::uint32_t> offset;        // CSR offsets, size k+1
-  std::vector<std::uint32_t> cursor;
-  std::vector<std::pair<std::uint32_t, EdgeId>> csr;  // (local nbr, host edge)
-  std::vector<std::uint32_t> queue;         // BFS worklist of local ids
-  std::vector<char> seen;
-
-  void ensure(std::size_t n_nodes, std::size_t n_edges) {
-    if (node_epoch.size() < n_nodes) {
-      node_epoch.resize(n_nodes, 0);
-      member_epoch.resize(n_nodes, 0);
-      local_of.resize(n_nodes, 0);
-    }
-    if (edge_epoch.size() < n_edges) edge_epoch.resize(n_edges, 0);
-  }
-};
-
-PartTreeScratch& part_tree_scratch() {
-  thread_local PartTreeScratch scratch;
-  return scratch;
-}
-
-/// BFS tree of the part-plus-shortcut subgraph, as host edge ids. Matches
-/// part_subgraph() + BFS exactly: subgraph edges are visited in ascending
-/// edge-id order, so the constructed tree (and every downstream round count)
-/// is identical to the hash-map implementation this replaces.
+/// BFS tree of the part-plus-shortcut subgraph, as host edge ids. The loader
+/// lists each node's neighbours in ascending edge-id order, so the tree (and
+/// every downstream round count) is the one a BFS over the canonical
+/// subgraph builds.
 AggregationTree build_part_tree(const Graph& g, const std::vector<NodeId>& part,
                                 const std::vector<EdgeId>& h_edges,
                                 const std::vector<double>& values) {
@@ -54,82 +18,21 @@ AggregationTree build_part_tree(const Graph& g, const std::vector<NodeId>& part,
               "empty part in PartCollection: every part needs at least one "
               "member to root its aggregation tree");
   DLS_REQUIRE(part.size() == values.size(), "values size mismatch");
-  PartTreeScratch& sc = part_tree_scratch();
-  sc.ensure(g.num_nodes(), g.num_edges());
-  ++sc.epoch;
-
-  // Subgraph nodes: part members first (local ids in part order), then any
-  // helper-edge endpoints outside the part (in h_edges order).
-  std::uint32_t num_nodes = 0;
-  auto touch = [&](NodeId v) {
-    if (sc.node_epoch[v] != sc.epoch) {
-      sc.node_epoch[v] = sc.epoch;
-      sc.local_of[v] = num_nodes++;
-    }
-  };
-  for (NodeId v : part) {
-    DLS_REQUIRE(v < g.num_nodes(), "part member out of range");
-    touch(v);
-    sc.member_epoch[v] = sc.epoch;
-  }
-  for (EdgeId e : h_edges) {
-    const Edge& edge = g.edge(e);
-    touch(edge.u);
-    touch(edge.v);
-  }
-
-  // Subgraph edges: G[P_i] edges (both endpoints members) plus helper edges,
-  // deduplicated via stamps, then sorted — the canonical subgraph edge order.
-  sc.edges.clear();
-  auto collect = [&](EdgeId e) {
-    if (sc.edge_epoch[e] != sc.epoch) {
-      sc.edge_epoch[e] = sc.epoch;
-      sc.edges.push_back(e);
-    }
-  };
-  for (NodeId v : part) {
-    for (const Adjacency& a : g.neighbors(v)) {
-      if (sc.member_epoch[a.neighbor] == sc.epoch) collect(a.edge);
-    }
-  }
-  for (EdgeId e : h_edges) collect(e);
-  std::sort(sc.edges.begin(), sc.edges.end());
-
-  // CSR adjacency over local ids; per-node neighbor order follows the sorted
-  // edge order.
-  const std::size_t k = num_nodes;
-  sc.deg.assign(k, 0);
-  for (EdgeId e : sc.edges) {
-    const Edge& edge = g.edge(e);
-    ++sc.deg[sc.local_of[edge.u]];
-    ++sc.deg[sc.local_of[edge.v]];
-  }
-  sc.offset.assign(k + 1, 0);
-  for (std::size_t x = 0; x < k; ++x) sc.offset[x + 1] = sc.offset[x] + sc.deg[x];
-  sc.cursor.assign(sc.offset.begin(), sc.offset.end() - 1);
-  sc.csr.resize(2 * sc.edges.size());
-  for (EdgeId e : sc.edges) {
-    const Edge& edge = g.edge(e);
-    const std::uint32_t lu = sc.local_of[edge.u];
-    const std::uint32_t lv = sc.local_of[edge.v];
-    sc.csr[sc.cursor[lu]++] = {lv, e};
-    sc.csr[sc.cursor[lv]++] = {lu, e};
-  }
+  PartScratch& sc = part_scratch();
+  const std::uint32_t k = load_part_subgraph(sc, g, part, h_edges);
 
   AggregationTree tree;
   tree.root = part.front();
-  sc.seen.assign(k, 0);
-  sc.queue.clear();
-  const std::uint32_t root_local = sc.local_of[tree.root];
-  sc.queue.push_back(root_local);
-  sc.seen[root_local] = 1;
-  std::size_t head = 0;
-  while (head < sc.queue.size()) {
-    const std::uint32_t x = sc.queue[head++];
+  // The root, part.front(), has local id 0.
+  sc.dist.assign(k, PartScratch::kUnreached);
+  sc.queue.assign(1, 0);
+  sc.dist[0] = 0;
+  for (std::size_t head = 0; head < sc.queue.size(); ++head) {
+    const std::uint32_t x = sc.queue[head];
     for (std::uint32_t i = sc.offset[x]; i < sc.offset[x + 1]; ++i) {
       const auto [nbr, e] = sc.csr[i];
-      if (sc.seen[nbr]) continue;
-      sc.seen[nbr] = 1;
+      if (sc.dist[nbr] != PartScratch::kUnreached) continue;
+      sc.dist[nbr] = sc.dist[x] + 1;
       tree.edges.push_back(e);
       sc.queue.push_back(nbr);
     }

@@ -1,57 +1,92 @@
 #include "shortcuts/shortcut.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "graph/algorithms.hpp"
+#include "shortcuts/part_csr.hpp"
+#include "util/random.hpp"
 
 namespace dls {
 
-PartSubgraph part_subgraph(const Graph& g, const std::vector<NodeId>& part,
-                           const std::vector<EdgeId>& h_edges) {
-  PartSubgraph sub;
-  std::unordered_set<NodeId> node_set(part.begin(), part.end());
-  sub.nodes = part;
-  for (EdgeId e : h_edges) {
-    const Edge& edge = g.edge(e);
-    if (node_set.insert(edge.u).second) sub.nodes.push_back(edge.u);
-    if (node_set.insert(edge.v).second) sub.nodes.push_back(edge.v);
-  }
-  // Edges of G[P_i]: both endpoints are part members.
-  std::unordered_set<NodeId> members(part.begin(), part.end());
-  std::unordered_set<EdgeId> edge_set;
-  for (NodeId v : part) {
-    for (const Adjacency& a : g.neighbors(v)) {
-      if (members.count(a.neighbor) > 0) edge_set.insert(a.edge);
-    }
-  }
-  for (EdgeId e : h_edges) edge_set.insert(e);
-  sub.edges.assign(edge_set.begin(), edge_set.end());
-  std::sort(sub.edges.begin(), sub.edges.end());
-  return sub;
-}
-
 namespace {
 
-/// Hop-diameter of the subgraph described by (nodes, edges) in host ids.
-/// Exact for small subgraphs; double sweep (exact on trees, ≤2x otherwise)
-/// when the subgraph is large. Shortcut subgraphs are usually tree-like, so
-/// the estimate is almost always exact; measure_shortcut is a measurement
-/// tool, not part of any algorithm's correctness.
-std::size_t subgraph_diameter(const Graph& g, const PartSubgraph& sub) {
-  // Local adjacency.
-  std::unordered_map<NodeId, std::uint32_t> local;
-  for (std::uint32_t i = 0; i < sub.nodes.size(); ++i) local[sub.nodes[i]] = i;
-  Graph h(sub.nodes.size());
-  for (EdgeId e : sub.edges) {
-    const Edge& edge = g.edge(e);
-    h.add_edge(local.at(edge.u), local.at(edge.v), edge.weight);
+/// Subgraphs up to this many nodes get their exact diameter; larger ones get
+/// the seeded sweep estimate below.
+constexpr std::uint32_t kExactDiameterNodes = 400;
+
+struct Sweep {
+  std::uint32_t ecc = 0;  // eccentricity of the source
+  std::uint32_t far = 0;  // lowest local id at distance ecc
+};
+
+/// BFS of the loaded subgraph from local id `source`, leaving the hop
+/// distances in sc.dist and the nodes reached in sc.queue.
+Sweep sweep(PartScratch& sc, std::uint32_t k, std::uint32_t source) {
+  sc.dist.assign(k, PartScratch::kUnreached);
+  sc.queue.assign(1, source);
+  sc.dist[source] = 0;
+  Sweep s;
+  s.far = source;
+  for (std::size_t head = 0; head < sc.queue.size(); ++head) {
+    const std::uint32_t x = sc.queue[head];
+    const std::uint32_t d = sc.dist[x] + 1;
+    for (std::uint32_t i = sc.offset[x]; i < sc.offset[x + 1]; ++i) {
+      const std::uint32_t y = sc.csr[i].first;
+      if (sc.dist[y] != PartScratch::kUnreached) continue;
+      sc.dist[y] = d;
+      sc.queue.push_back(y);
+      if (d > s.ecc || (d == s.ecc && y < s.far)) {
+        s.ecc = d;
+        s.far = y;
+      }
+    }
   }
-  DLS_REQUIRE(is_connected(h), "part + shortcut subgraph is disconnected");
-  if (h.num_nodes() <= 400) return exact_diameter(h);
-  Rng rng(12345);
-  return approx_diameter(h, rng, 6);
+  return s;
+}
+
+/// Diameter of the loaded subgraph of k nodes, where only a result above
+/// `floor` (the largest diameter of the earlier parts) can change the
+/// maximum: when the diameter is at most `floor` this may return any value
+/// up to `floor`. Up to kExactDiameterNodes nodes the diameter is exact;
+/// above that it is the 6-sweep estimate approx_diameter() gives with
+/// Rng(12345) on the same local ids.
+std::uint32_t part_diameter(PartScratch& sc, std::uint32_t k,
+                            std::uint32_t floor) {
+  if (k == 0) return 0;
+  const Sweep first = sweep(sc, k, 0);
+  DLS_REQUIRE(sc.queue.size() == k, "part + shortcut subgraph is disconnected");
+  // diam ≤ 2·ecc(v) for any v, and the sweep estimate never exceeds diam.
+  if (std::uint64_t{2} * first.ecc <= floor) return first.ecc;
+  if (k > kExactDiameterNodes) {
+    Rng rng(12345);
+    auto start = static_cast<std::uint32_t>(rng.next_below(k));
+    std::uint32_t best = 0;
+    for (int i = 0; i < 6; ++i) {
+      const Sweep s = sweep(sc, k, start);
+      best = std::max(best, s.ecc);
+      start = s.far;
+    }
+    return best;
+  }
+  // Exact: ecc(s) ≤ ecc(w) + d(w, s) for every BFS source w, so once no
+  // bound exceeds max(best, floor) the diameter cannot either. Each source's
+  // own bound drops to its eccentricity, so no node is swept twice.
+  std::vector<std::uint32_t>& bound = sc.ecc_bound;
+  bound.assign(k, PartScratch::kUnreached);
+  std::uint32_t best = 0;
+  Sweep last = first;
+  while (true) {
+    best = std::max(best, last.ecc);
+    const std::uint32_t limit = std::max(best, floor);
+    std::uint32_t widest = 0;  // lowest id with the largest bound
+    for (std::uint32_t s = 0; s < k; ++s) {
+      bound[s] = std::min(bound[s], last.ecc + sc.dist[s]);
+      if (bound[s] > bound[widest]) widest = s;
+    }
+    if (bound[widest] <= limit) return best;
+    // Next source: the farthest node of the last sweep while it can still
+    // raise the result, else the node with the largest bound.
+    last = sweep(sc, k, bound[last.far] > limit ? last.far : widest);
+  }
 }
 
 }  // namespace
@@ -61,20 +96,26 @@ ShortcutQuality measure_shortcut(const Graph& g, const PartCollection& pc,
   DLS_REQUIRE(shortcut.h_edges.size() == pc.num_parts(),
               "shortcut must have one H_i per part");
   ShortcutQuality q;
-  std::vector<std::size_t> edge_load(g.num_edges(), 0);
+  PartScratch& sc = part_scratch();
+  std::vector<std::uint32_t> edge_load(g.num_edges(), 0);
   for (const auto& h : shortcut.h_edges) {
-    std::unordered_set<EdgeId> distinct(h.begin(), h.end());
-    for (EdgeId e : distinct) {
+    sc.next_epoch(g.num_nodes(), g.num_edges());
+    for (EdgeId e : h) {
       DLS_REQUIRE(e < g.num_edges(), "shortcut edge out of range");
-      q.congestion = std::max(q.congestion, ++edge_load[e]);
+      if (sc.edge_epoch[e] == sc.epoch) continue;  // listed twice in H_i
+      sc.edge_epoch[e] = sc.epoch;
+      q.congestion = std::max<std::size_t>(q.congestion, ++edge_load[e]);
     }
   }
+  std::uint32_t dilation = 0;
   for (std::size_t i = 0; i < pc.num_parts(); ++i) {
-    const PartSubgraph sub = part_subgraph(g, pc.parts[i], shortcut.h_edges[i]);
-    q.dilation = std::max(q.dilation, subgraph_diameter(g, sub));
+    const std::uint32_t k =
+        load_part_subgraph(sc, g, pc.parts[i], shortcut.h_edges[i]);
+    dilation = std::max(dilation, part_diameter(sc, k, dilation));
   }
   // A shortcut with zero helper edges on single-node parts has dilation 0;
   // quality is still well defined.
+  q.dilation = dilation;
   return q;
 }
 

@@ -21,19 +21,13 @@ struct ShortcutQuality {
   std::size_t quality() const { return congestion + dilation; }
 };
 
-/// Measures c and d of Definition 5 exactly. Each part-plus-shortcut subgraph
-/// must be connected (throws otherwise): a disconnected H cannot aggregate.
+/// Measures c and d of Definition 5. Each part-plus-shortcut subgraph must
+/// be connected (throws otherwise): a disconnected H cannot aggregate. The
+/// dilation is exact when every G[P_i] ∪ H_i has at most 400 nodes; a larger
+/// one counts with a seeded 6-sweep lower estimate of its diameter. BFS runs
+/// that provably cannot raise the maximum are skipped, which never changes
+/// the result. A part member out of range or listed twice throws.
 ShortcutQuality measure_shortcut(const Graph& g, const PartCollection& pc,
                                  const Shortcut& shortcut);
-
-/// The node set and edge set of G[P_i] ∪ H_i, as an induced-style subgraph
-/// over the union of part members and H_i endpoints.
-struct PartSubgraph {
-  std::vector<NodeId> nodes;   // host ids, part members first
-  std::vector<EdgeId> edges;   // host edge ids of G[P_i] plus H_i
-};
-
-PartSubgraph part_subgraph(const Graph& g, const std::vector<NodeId>& part,
-                           const std::vector<EdgeId>& h_edges);
 
 }  // namespace dls

@@ -1,24 +1,31 @@
 #include "util/flags.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/assert.hpp"
 
 namespace dls {
 
-Flags::Flags(int argc, const char* const* argv) {
+Flags::Flags(int argc, const char* const* argv,
+             const std::vector<std::string>& accepted) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     DLS_REQUIRE(arg.rfind("--", 0) == 0, "flags must start with --: " + arg);
     arg = arg.substr(2);
+    std::string name = arg;
+    std::string value = "true";  // bare boolean flag
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
-      values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      name = arg.substr(0, eq);
+      value = arg.substr(eq + 1);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      values_[arg] = argv[++i];
-    } else {
-      values_[arg] = "true";  // bare boolean flag
+      value = argv[++i];
     }
+    DLS_REQUIRE(std::find(accepted.begin(), accepted.end(), name) !=
+                    accepted.end(),
+                "unknown flag: --" + name);
+    values_[name] = value;
   }
 }
 

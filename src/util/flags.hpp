@@ -6,12 +6,17 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace dls {
 
 class Flags {
  public:
-  Flags(int argc, const char* const* argv);
+  Flags() = default;  // no flags: every getter returns its fallback
+  /// Parses argv[1..]; `accepted` lists every flag name the caller reads.
+  /// Any other name throws std::invalid_argument naming it.
+  Flags(int argc, const char* const* argv,
+        const std::vector<std::string>& accepted);
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;

@@ -5,6 +5,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "shortcuts/quality_estimator.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dls {
 namespace {
@@ -57,6 +58,35 @@ TEST(SqEstimator, ExtraPartitionsIncluded) {
     found |= s.partition_family.rfind("extra", 0) == 0;
   }
   EXPECT_TRUE(found);
+}
+
+// SqEstimateOptions::pool promises the same estimate with and without a
+// pool; every worker measures shortcuts through its own thread-local scratch.
+TEST(SqEstimator, PoolMatchesSerial) {
+  ThreadPool pool(4);
+  for (int family = 0; family < 2; ++family) {
+    Rng graph_rng(8);
+    const Graph g = family == 0 ? make_grid(20, 20)
+                                : make_random_regular(200, 4, graph_rng);
+    Rng serial_rng(9);
+    const SqEstimate serial = estimate_shortcut_quality(g, serial_rng);
+    SqEstimateOptions options;
+    options.pool = &pool;
+    Rng pooled_rng(9);
+    const SqEstimate pooled = estimate_shortcut_quality(g, pooled_rng, options);
+    EXPECT_EQ(pooled.quality, serial.quality);
+    EXPECT_EQ(pooled.diameter, serial.diameter);
+    ASSERT_EQ(pooled.samples.size(), serial.samples.size());
+    for (std::size_t i = 0; i < serial.samples.size(); ++i) {
+      const SqSample& a = serial.samples[i];
+      const SqSample& b = pooled.samples[i];
+      EXPECT_EQ(b.partition_family, a.partition_family);
+      EXPECT_EQ(b.num_parts, a.num_parts);
+      EXPECT_EQ(b.quality.congestion, a.quality.congestion);
+      EXPECT_EQ(b.quality.dilation, a.quality.dilation);
+      EXPECT_EQ(b.construction, a.construction);
+    }
+  }
 }
 
 TEST(SqEstimator, RejectsDisconnected) {

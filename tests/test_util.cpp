@@ -4,6 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/flags.hpp"
 #include "util/random.hpp"
@@ -214,7 +217,7 @@ TEST(Table, RejectsMismatchedRow) {
 
 TEST(Flags, ParsesBothSyntaxes) {
   const char* argv[] = {"prog", "--n", "32", "--eps=0.5", "--verbose"};
-  Flags flags(5, argv);
+  Flags flags(5, argv, {"n", "eps", "verbose", "missing"});
   EXPECT_EQ(flags.get_int("n", 0), 32);
   EXPECT_DOUBLE_EQ(flags.get_double("eps", 0.0), 0.5);
   EXPECT_TRUE(flags.get_bool("verbose", false));
@@ -223,7 +226,27 @@ TEST(Flags, ParsesBothSyntaxes) {
 
 TEST(Flags, RejectsPositionalArguments) {
   const char* argv[] = {"prog", "oops"};
-  EXPECT_THROW(Flags(2, argv), std::invalid_argument);
+  EXPECT_THROW(Flags(2, argv, {"oops"}), std::invalid_argument);
+}
+
+TEST(Flags, RejectsUnknownFlag) {
+  const std::vector<std::string> accepted{"supervisor", "threads"};
+  const char* spaced[] = {"prog", "--threads", "2", "--supervsior", "retry"};
+  const char* joined[] = {"prog", "--supervsior=retry", "--threads=2"};
+  for (const auto& [argc, argv] :
+       {std::pair<int, const char**>{5, spaced}, {3, joined}}) {
+    try {
+      Flags(argc, argv, accepted);
+      ADD_FAILURE() << "an unknown flag parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--supervsior"), std::string::npos)
+          << e.what();
+    }
+  }
+  const char* known[] = {"prog", "--supervisor=retry", "--threads", "2"};
+  const Flags flags(4, known, accepted);
+  EXPECT_EQ(flags.get("supervisor", "off"), "retry");
+  EXPECT_EQ(flags.get_int("threads", 1), 2);
 }
 
 TEST(ThreadPool, ParallelForVisitsEveryIndexExactlyOnce) {

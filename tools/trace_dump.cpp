@@ -46,7 +46,7 @@ std::vector<dls::PaModel> selected_models(const std::string& want) {
 
 int main(int argc, char** argv) {
   using namespace dls;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"family", "model", "out", "metrics"});
   const auto families = selected_families(flags.get("family", "all"));
   const auto models = selected_models(flags.get("model", "all"));
   const std::string out_path = flags.get("out", "");
