@@ -82,7 +82,7 @@ struct BenchRuntime {
 /// Parses `--threads N` (default 1; 0 means all hardware threads),
 /// `--supervisor MODE` (default off) and `--trace PATH` (default off) and
 /// spins up the worker pool. `own` names the bench's own flags, which it
-/// reads from `flags`; any other flag throws std::invalid_argument.
+/// reads from `flags`; any other flag is a usage error (util/flags.hpp).
 inline BenchRuntime bench_runtime(int argc, const char* const* argv,
                                   std::vector<std::string> own = {}) {
   own.insert(own.end(), {"threads", "supervisor", "trace"});
@@ -95,7 +95,8 @@ inline BenchRuntime bench_runtime(int argc, const char* const* argv,
   if (runtime.threads > 1) {
     runtime.pool = std::make_unique<ThreadPool>(runtime.threads);
   }
-  runtime.supervisor = supervisor_mode_from_string(flags.get("supervisor", "off"));
+  runtime.supervisor = supervisor_mode_from_string(
+      flags.get_choice("supervisor", "off", {"off", "retry", "degrade"}));
   const std::string trace_path = flags.get("trace", "");
   if (!trace_path.empty()) {
     runtime.trace = std::make_unique<TraceSession>(trace_path);

@@ -9,14 +9,11 @@
 // completes — PA aggregates are value-exact at every rung). One row per
 // (graph family × fault mix × supervisor mode); `--supervisor` narrows the
 // mode sweep to a single mode.
-#include <memory>
-
 #include "bench_common.hpp"
 #include "graph/generators.hpp"
 #include "laplacian/recursive_solver.hpp"
 #include "sim/fault_injection.hpp"
 #include "util/assert.hpp"
-#include "verify/certified_solve.hpp"
 
 using namespace dls;
 using namespace dls::bench;
@@ -173,98 +170,6 @@ int main(int argc, char** argv) {
   for (const auto& [heading, stats] : level_traces) {
     print_level_recovery("\n" + heading, stats);
   }
-
-  // --- Certificate-verification overhead: what the end-to-end certificate
-  // (src/verify/certified_solve.hpp) costs on a fault-free solve substrate,
-  // with the delivery hop clean, silently corrupting, or corrupting under
-  // payload integrity. Every row must hand the client a bit-identical x —
-  // the DLS_REQUIREs below are the bench's own acceptance gate, so a
-  // certificate regression fails the binary, not just a table cell.
-  banner("certified solves",
-         "residual + checksum certificate: overhead and corruption recovery");
-  struct DeliveryMix {
-    const char* name;
-    double corrupt_rate;
-    bool integrity;
-  };
-  const DeliveryMix delivery_mixes[] = {
-      {"clean hop", 0.0, false},
-      {"corrupt 10%", 0.10, false},
-      {"corrupt 10% + integrity", 0.10, true},
-  };
-  Table ctable({"graph", "delivery", "solver rounds", "total rounds",
-                "verify rounds", "attempts", "rejected", "retransmits",
-                "wall ms"});
-  for (std::size_t fam = 0; fam < families.size(); ++fam) {
-    const Family& family = families[fam];
-    const Vec b = messy_rhs(family.g.num_nodes());
-    const std::uint64_t seed = 0x51EE;
-
-    // Uncertified reference: the bitwise target every accepted certificate
-    // must return, and the "solver rounds" baseline of the overhead columns.
-    Rng ref_oracle_rng(seed);
-    ShortcutPaOracle ref_oracle(family.g, ref_oracle_rng);
-    Rng ref_solver_rng(seed ^ 0x50F7);
-    DistributedLaplacianSolver reference(ref_oracle, ref_solver_rng,
-                                         chain_options());
-    const LaplacianSolveReport want = reference.solve(b);
-
-    for (const DeliveryMix& mix : delivery_mixes) {
-      Rng oracle_rng(seed);
-      ShortcutPaOracle oracle(family.g, oracle_rng);
-      Rng solver_rng(seed ^ 0x50F7);
-      DistributedLaplacianSolver solver(oracle, solver_rng, chain_options());
-
-      FaultConfig fc;
-      fc.corrupt_rate = mix.corrupt_rate;
-      std::unique_ptr<FaultPlan> plan;
-      CertifiedSolveOptions copts;
-      copts.resolve_budget = 8;
-      copts.delivery_integrity = mix.integrity;
-      if (mix.corrupt_rate > 0.0) {
-        // Per-family plan seed: the delivery fates hash (round, coordinate)
-        // under the plan seed, so without this every family would consult
-        // the exact same corruption schedule.
-        plan = std::make_unique<FaultPlan>(seed ^ (0xCE47 + 0x101 * fam), fc);
-        copts.delivery_faults = plan.get();
-      }
-      CertifiedSolve certified(solver, copts);
-
-      const WallTimer solve_timer;
-      const CertifiedSolveReport report = certified.solve(b);
-      const double wall_ms = solve_timer.seconds() * 1e3;
-
-      DLS_REQUIRE(!report.degraded.has_value(),
-                  "certified solve must certify within its resolve budget");
-      DLS_REQUIRE(report.certificate.accepted,
-                  "returned certificate must be accepted");
-      DLS_REQUIRE(report.solve.x == want.x,
-                  "certified x must be bit-identical to the uncertified "
-                  "reference");
-
-      std::uint64_t verify_rounds = 0;
-      for (const LedgerEntry& e : oracle.ledger().entries()) {
-        if (e.label.rfind("verify/", 0) == 0) {
-          verify_rounds += e.local_rounds + e.global_rounds;
-        }
-      }
-      ctable.add_row(
-          {family.name, mix.name, Table::cell(want.local_rounds),
-           Table::cell(oracle.ledger().total_local()),
-           Table::cell(verify_rounds), Table::cell(report.attempts),
-           Table::cell(report.rejected.size()),
-           Table::cell(report.certificate.delivery_retransmissions),
-           Table::cell(wall_ms)});
-    }
-  }
-  ctable.print(std::cout);
-  footnote(
-      "verify rounds: ledger entries under verify/ (delivery hop, recomputed "
-      "residual certificate, solution checksum exchange). Corrupt rows "
-      "without integrity re-solve until a delivery epoch certifies clean; "
-      "with integrity the corrupted words are retransmitted in-hop and the "
-      "first attempt certifies. Either way the client's x is bit-identical "
-      "to the uncertified reference — enforced above, not just reported.");
   print_wall_clock(runtime, timer);
   footnote(
       "Expected shape: retry-tier recoveries cost a small constant factor "

@@ -8,7 +8,6 @@
 #include "graph/generators.hpp"
 #include "shortcuts/partition.hpp"
 #include "shortcuts/partwise_aggregation.hpp"
-#include "sim/sync_network.hpp"
 
 namespace dls {
 namespace {
@@ -57,35 +56,6 @@ void BM_ShortcutConstruction(benchmark::State& state) {
 }
 
 BENCHMARK(BM_ShortcutConstruction)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
-
-// Sparse traffic on a large network: two adjacent nodes ping-pong for many
-// rounds while every other node is idle. Step cost must scale with messages,
-// not nodes — this is the case the epoch-stamped inboxes exist for.
-void BM_SyncNetworkSparsePingPong(benchmark::State& state) {
-  const std::size_t side = static_cast<std::size_t>(state.range(0));
-  const Graph g = make_grid(side, side);
-  const Adjacency& a = g.neighbors(0).front();
-  for (auto _ : state) {
-    SyncNetwork net(g);
-    for (int r = 0; r < 256; ++r) {
-      CongestMessage m;
-      m.from = (r % 2 == 0) ? NodeId{0} : a.neighbor;
-      m.to = (r % 2 == 0) ? a.neighbor : NodeId{0};
-      m.edge = a.edge;
-      m.payload = static_cast<double>(r);
-      net.send(m);
-      net.step();
-    }
-    benchmark::DoNotOptimize(net.rounds());
-  }
-  state.counters["nodes"] = static_cast<double>(g.num_nodes());
-}
-
-BENCHMARK(BM_SyncNetworkSparsePingPong)
-    ->Arg(16)
-    ->Arg(64)
-    ->Arg(128)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace dls

@@ -18,13 +18,22 @@ CongestedPaOracle::InstanceId CongestedPaOracle::prepare(const PartCollection& p
   return instances_.size() - 1;
 }
 
-std::vector<double> CongestedPaOracle::aggregate(
-    InstanceId instance, const std::vector<std::vector<double>>& values,
-    const AggregationMonoid& monoid) {
-  DLS_REQUIRE(instance < instances_.size(), "unknown oracle instance");
+void CongestedPaOracle::measure_instance(InstanceId instance) {
   Prepared& prepared = instances_[instance];
-  DLS_REQUIRE(values.size() == prepared.pc.num_parts(), "values mismatch");
-  ClockScope clock(Tracer::ambient(), ledger_clock(ledger_));
+  measuring_instance_ = instance;
+  prepared.cost = measure(prepared.pc);
+  prepared.measured = true;
+}
+
+template <typename FirstUse>
+void CongestedPaOracle::charge_call(InstanceId instance, RoundLedger& ledger,
+                                    std::uint64_t& pa_calls,
+                                    FirstUse first_use) const {
+  const Prepared& prepared = instances_[instance];
+  // On batched paths the ambient tracer is a per-slot tracer whose clock is
+  // the slot's private ledger, so the span lands in the slot's trace and
+  // merges slot-indexed.
+  ClockScope clock(Tracer::ambient(), ledger_clock(ledger));
   ScopedSpan span(Tracer::ambient(), "pa/call", SpanKind::kPaCall);
   if (span.active()) {
     span.note(name());
@@ -32,25 +41,29 @@ std::vector<double> CongestedPaOracle::aggregate(
     span.counter("rho", prepared.rho);
     span.counter("parts", prepared.pc.num_parts());
   }
-  if (!prepared.measured) {
-    ScopedSpan measure_span(Tracer::ambient(), "pa/measure", SpanKind::kPhase);
-    measuring_instance_ = instance;
-    prepared.cost = measure(prepared.pc);
-    prepared.measured = true;
-  }
-  ++pa_calls_;
+  first_use();
+  ++pa_calls;
   if (const std::uint64_t local = effective_local(prepared); local > 0) {
-    ledger_.charge_local(local, pa_label(), prepared.cost.congestion);
+    ledger.charge_local(local, pa_label(), prepared.cost.congestion);
   }
   if (prepared.cost.global_rounds > 0) {
-    ledger_.charge_global(prepared.cost.global_rounds, pa_label(),
-                          prepared.cost.congestion);
+    ledger.charge_global(prepared.cost.global_rounds, pa_label(),
+                         prepared.cost.congestion);
   }
+}
+
+std::vector<double> CongestedPaOracle::aggregate(
+    InstanceId instance, const std::vector<std::vector<double>>& values,
+    const AggregationMonoid& monoid) {
+  DLS_REQUIRE(instance < instances_.size(), "unknown oracle instance");
+  const PartCollection& pc = instances_[instance].pc;
+  DLS_REQUIRE(values.size() == pc.num_parts(), "values mismatch");
+  charge_aggregate(instance);
   // Results equal the sequential fold (the distributed protocols were
   // validated against it once at measure() time and in the test suite).
-  std::vector<double> results(prepared.pc.num_parts(), monoid.identity);
-  for (std::size_t i = 0; i < prepared.pc.num_parts(); ++i) {
-    DLS_REQUIRE(values[i].size() == prepared.pc.parts[i].size(),
+  std::vector<double> results(pc.num_parts(), monoid.identity);
+  for (std::size_t i = 0; i < pc.num_parts(); ++i) {
+    DLS_REQUIRE(values[i].size() == pc.parts[i].size(),
                 "values size mismatch");
     for (double v : values[i]) results[i] = monoid.op(results[i], v);
   }
@@ -59,7 +72,7 @@ std::vector<double> CongestedPaOracle::aggregate(
 
 void CongestedPaOracle::warm(InstanceId instance) {
   DLS_REQUIRE(instance < instances_.size(), "unknown oracle instance");
-  Prepared& prepared = instances_[instance];
+  const Prepared& prepared = instances_[instance];
   if (prepared.measured) return;
   ScopedSpan span(Tracer::ambient(), "pa/warm", SpanKind::kPhase);
   if (span.active()) {
@@ -67,9 +80,7 @@ void CongestedPaOracle::warm(InstanceId instance) {
     span.counter("instance", instance);
     span.counter("rho", prepared.rho);
   }
-  measuring_instance_ = instance;
-  prepared.cost = measure(prepared.pc);
-  prepared.measured = true;
+  measure_instance(instance);
 }
 
 bool CongestedPaOracle::is_measured(InstanceId instance) const {
@@ -79,58 +90,22 @@ bool CongestedPaOracle::is_measured(InstanceId instance) const {
 
 void CongestedPaOracle::charge_aggregate(InstanceId instance) {
   DLS_REQUIRE(instance < instances_.size(), "unknown oracle instance");
-  Prepared& prepared = instances_[instance];
-  ClockScope clock(Tracer::ambient(), ledger_clock(ledger_));
-  ScopedSpan span(Tracer::ambient(), "pa/call", SpanKind::kPaCall);
-  if (span.active()) {
-    span.note(name());
-    span.counter("instance", instance);
-    span.counter("rho", prepared.rho);
-    span.counter("parts", prepared.pc.num_parts());
-  }
-  if (!prepared.measured) {
+  // The first call measures inside its own "pa/call" span.
+  charge_call(instance, ledger_, pa_calls_, [this, instance] {
+    if (instances_[instance].measured) return;
     ScopedSpan measure_span(Tracer::ambient(), "pa/measure", SpanKind::kPhase);
-    measuring_instance_ = instance;
-    prepared.cost = measure(prepared.pc);
-    prepared.measured = true;
-  }
-  ++pa_calls_;
-  if (const std::uint64_t local = effective_local(prepared); local > 0) {
-    ledger_.charge_local(local, pa_label(), prepared.cost.congestion);
-  }
-  if (prepared.cost.global_rounds > 0) {
-    ledger_.charge_global(prepared.cost.global_rounds, pa_label(),
-                          prepared.cost.congestion);
-  }
+    measure_instance(instance);
+  });
 }
 
 void CongestedPaOracle::charge_aggregate_into(InstanceId instance,
                                               RoundLedger& ledger,
                                               std::uint64_t& pa_calls) const {
   DLS_REQUIRE(instance < instances_.size(), "unknown oracle instance");
-  const Prepared& prepared = instances_[instance];
-  DLS_REQUIRE(prepared.measured,
+  DLS_REQUIRE(instances_[instance].measured,
               "charge_aggregate_into requires a warmed instance; call warm() "
               "before fanning a batch out");
-  // The ambient tracer here is a per-slot tracer on batched paths (the
-  // caller installed it with the slot's private ledger as the clock), so the
-  // span lands in the slot's trace and merges slot-indexed.
-  ClockScope clock(Tracer::ambient(), ledger_clock(ledger));
-  ScopedSpan span(Tracer::ambient(), "pa/call", SpanKind::kPaCall);
-  if (span.active()) {
-    span.note(name());
-    span.counter("instance", instance);
-    span.counter("rho", prepared.rho);
-    span.counter("parts", prepared.pc.num_parts());
-  }
-  ++pa_calls;
-  if (const std::uint64_t local = effective_local(prepared); local > 0) {
-    ledger.charge_local(local, pa_label(), prepared.cost.congestion);
-  }
-  if (prepared.cost.global_rounds > 0) {
-    ledger.charge_global(prepared.cost.global_rounds, pa_label(),
-                         prepared.cost.congestion);
-  }
+  charge_call(instance, ledger, pa_calls, [] {});
 }
 
 std::uint64_t CongestedPaOracle::batched_local_rounds(InstanceId instance,

@@ -175,6 +175,18 @@ class CongestedPaOracle {
   /// batch slots run concurrently only read it.
   const std::string& pa_label() const { return pa_label_; }
   std::string pa_label_;
+  /// Runs the one-time measure() of an unmeasured `instance` and caches its
+  /// cost; both first-use paths (warm(), the first charge_aggregate()) end
+  /// here.
+  void measure_instance(InstanceId instance);
+  /// The one per-call charge behind aggregate(), charge_aggregate() and
+  /// charge_aggregate_into(): opens the "pa/call" span on `ledger`'s clock,
+  /// runs `first_use` inside it (the shared path measures there), then
+  /// counts the call in `pa_calls` and charges the instance's measured cost
+  /// to `ledger`. Writes nothing else, so batch slots run it concurrently.
+  template <typename FirstUse>
+  void charge_call(InstanceId instance, RoundLedger& ledger,
+                   std::uint64_t& pa_calls, FirstUse first_use) const;
   /// Local rounds one call charges under the current charging mode.
   std::uint64_t effective_local(const Prepared& prepared) const {
     const Measured& c = prepared.cost;

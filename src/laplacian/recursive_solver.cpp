@@ -532,16 +532,6 @@ void DistributedLaplacianSolver::attribute_recovery_event(
   }
 }
 
-void DistributedLaplacianSolver::charge_residual_certificate() {
-  // One local exchange computes the per-node residual entries, one global
-  // aggregation over the prepared 1-congested instance lets every node learn
-  // the norm — the same shape as solve()'s internal certificate, charged
-  // under verify/ so certificate traffic is separable in the ledger.
-  oracle_.ledger().charge_local(1, "verify/residual-certificate");
-  SolveContext ctx;
-  ctx_charge_aggregate(ctx, global_instance_);
-}
-
 LaplacianSolveReport DistributedLaplacianSolver::solve_in_context(
     const Vec& b, SolveContext& ctx) {
   const Graph& g = oracle_.graph();

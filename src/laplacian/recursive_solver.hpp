@@ -125,15 +125,6 @@ class DistributedLaplacianSolver {
   /// rng stream exactly as N sequential solves would have.
   void warm_instances();
 
-  /// Charges the communication of one *independently recomputed* residual
-  /// certificate — the verify layer's end-to-end re-check of ‖Lx − b‖/‖b‖,
-  /// distinct from solve()'s own "solver/residual-check" — to the oracle's
-  /// shared ledger: one local exchange for the per-node residual entries
-  /// (labelled "verify/residual-certificate") plus one global 1-congested PA
-  /// aggregation for the norm. The numerical evaluation is the caller's;
-  /// this accounts for the rounds that evaluation costs in the model.
-  void charge_residual_certificate();
-
   const std::vector<LevelStats>& level_stats() const { return stats_; }
   std::size_t num_levels() const { return levels_.size(); }
   const Graph& graph() const { return oracle_.graph(); }

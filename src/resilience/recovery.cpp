@@ -23,9 +23,6 @@ void count_recovery_event(const RecoveryEvent& e, RecoveryCounters& counters) {
     case RecoveryAction::kWatchdogRefine:
       ++counters.watchdog_refinements;
       break;
-    case RecoveryAction::kCertificateResolve:
-      ++counters.certificate_resolves;
-      break;
     case RecoveryAction::kAbort: break;  // counted via the tier, not here
   }
 }
@@ -46,11 +43,6 @@ EscalationTier highest_tier(const RoundLedger& ledger) {
   for (const RecoveryEvent& e : ledger.recovery_events()) {
     switch (e.action) {
       case RecoveryAction::kRetry: bump(EscalationTier::kRetry); break;
-      // A certificate-triggered re-solve is the certified wrapper's retry
-      // rung: same position in the ladder, different detector.
-      case RecoveryAction::kCertificateResolve:
-        bump(EscalationTier::kRetry);
-        break;
       case RecoveryAction::kRebuild: bump(EscalationTier::kRebuild); break;
       case RecoveryAction::kDegrade: bump(EscalationTier::kDegrade); break;
       case RecoveryAction::kAbort: bump(EscalationTier::kExhausted); break;

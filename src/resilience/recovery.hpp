@@ -43,13 +43,11 @@ struct RecoveryCounters {
   std::size_t degradations = 0;
   std::size_t watchdog_restarts = 0;
   std::size_t watchdog_refinements = 0;
-  std::size_t certificate_resolves = 0;  // solves re-run after a rejected cert
   std::uint64_t rounds_lost = 0;  // simulated work charged to failed attempts
 
   bool any() const {
     return retries + rebuilds + degradations + watchdog_restarts +
-               watchdog_refinements + certificate_resolves >
-           0;
+               watchdog_refinements > 0;
   }
 
   friend bool operator==(const RecoveryCounters&,

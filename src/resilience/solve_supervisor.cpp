@@ -65,38 +65,6 @@ std::uint64_t SupervisedPaOracle::charge_backoff(std::uint32_t attempt) {
   return wait;
 }
 
-bool SupervisedPaOracle::note_certificate_failure(std::uint64_t subject,
-                                                  std::uint64_t rounds_lost,
-                                                  const std::string& detail) {
-  ++certificate_failures_;
-  RecoveryEvent event;
-  event.action = RecoveryAction::kCertificateResolve;
-  event.subject = subject;
-  event.attempt = static_cast<std::uint32_t>(certificate_failures_);
-  event.rounds_lost = rounds_lost;
-  event.detail = detail;
-  ledger().record_recovery(std::move(event));
-  bump_tier(EscalationTier::kRetry);
-  if (config_.mode != SupervisorMode::kDegrade || degraded()) {
-    return degraded();
-  }
-  if (certificate_failures_ <= config_.certificate_failure_budget) return false;
-  // The PA-call cross-checks passed and the certificate still failed —
-  // repeatedly. Stop trusting the primary's substrate altogether.
-  if (!fallback_) {
-    fallback_ = std::make_unique<BaselinePaOracle>(graph(), fallback_rng_);
-  }
-  RecoveryEvent degrade;
-  degrade.action = RecoveryAction::kDegrade;
-  degrade.subject = subject;
-  degrade.attempt = static_cast<std::uint32_t>(certificate_failures_);
-  degrade.rounds_lost = 0;
-  degrade.detail = "certificate failure budget exhausted: " + detail;
-  ledger().record_recovery(std::move(degrade));
-  bump_tier(EscalationTier::kDegrade);
-  return true;
-}
-
 CongestedPaOracle::Measured SupervisedPaOracle::measure(
     const PartCollection& pc) {
   if (config_.mode == SupervisorMode::kOff) {

@@ -64,12 +64,6 @@ struct SupervisorConfig {
   std::uint32_t initial_backoff = 1;
   std::uint32_t max_backoff = 32;
   std::uint64_t jitter_seed = 0x5EED0BACC0FFULL;
-  /// Certificate failures (note_certificate_failure) tolerated before a
-  /// kDegrade-mode supervisor stops trusting the primary's substrate and
-  /// demotes to the baseline. End-to-end certificates (verify/
-  /// certified_solve.hpp) detect corruption that slipped *past* the PA-call
-  /// cross-checks, so repeated failures indict the whole primary path.
-  std::size_t certificate_failure_budget = 1;
 };
 
 class SupervisedPaOracle final : public CongestedPaOracle {
@@ -91,17 +85,6 @@ class SupervisedPaOracle final : public CongestedPaOracle {
   /// Summary of this oracle's recovery trace (folds the ledger's events).
   RecoveryCounters counters() const { return tally_recovery(ledger()); }
 
-  /// Escalation entry point for the certified-solve layer: records that an
-  /// end-to-end solve certificate over this oracle's answers was rejected.
-  /// Once more than certificate_failure_budget failures accumulate, a
-  /// kDegrade-mode supervisor demotes to the baseline (sticky, like any
-  /// degradation) and the call returns true; otherwise false. The failure is
-  /// recorded as a kCertificateResolve event either way, so the ledger's
-  /// recovery trace accounts for every certificate-triggered re-solve.
-  bool note_certificate_failure(std::uint64_t subject, std::uint64_t rounds_lost,
-                                const std::string& detail);
-  std::size_t certificate_failures() const { return certificate_failures_; }
-
  protected:
   Measured measure(const PartCollection& pc) override;
 
@@ -120,7 +103,6 @@ class SupervisedPaOracle final : public CongestedPaOracle {
   Rng fallback_rng_;  // owned stream for fallback_ (declared before it)
   std::unique_ptr<BaselinePaOracle> fallback_;
   EscalationTier tier_ = EscalationTier::kNone;
-  std::size_t certificate_failures_ = 0;
 };
 
 }  // namespace dls

@@ -1,6 +1,6 @@
 #include "shortcuts/construction.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "graph/algorithms.hpp"
 
@@ -80,12 +80,17 @@ Shortcut tree_restricted_shortcut(const PartCollection& pc,
   // c are neither none nor all of them. Every union node has a member below
   // it, so only "all" needs a check. Stamps are the part index + 1, so one
   // set of arrays serves every part.
+  //
+  // Each member's walk climbs until it meets a node an earlier walk took
+  // (or the root), so a union node's children lie earlier in its own walk
+  // or in later walks. Folding the walks last to first, each bottom-up,
+  // therefore reaches every node after all of its children.
   const std::size_t n = tree.parent.size();
   std::vector<std::uint32_t> member_stamp(n, 0);
   std::vector<std::uint32_t> union_stamp(n, 0);
   std::vector<std::uint32_t> below(n, 0);  // members in the subtree, in union
-  std::vector<NodeId> walk;      // union nodes with an edge up, in walk order
-  std::vector<NodeId> by_depth;  // the same nodes, deepest first
+  std::vector<NodeId> walk;  // union nodes with an edge up, in walk order
+  std::vector<std::size_t> walk_start;  // where each member's walk begins
   Shortcut s;
   s.h_edges.reserve(pc.num_parts());
   for (std::size_t i = 0; i < pc.num_parts(); ++i) {
@@ -100,7 +105,9 @@ Shortcut tree_restricted_shortcut(const PartCollection& pc,
       }
     }
     walk.clear();
+    walk_start.clear();
     for (NodeId v : part) {
+      walk_start.push_back(walk.size());
       for (NodeId cur = v; union_stamp[cur] != stamp; cur = tree.parent[cur]) {
         union_stamp[cur] = stamp;
         below[cur] = member_stamp[cur] == stamp ? 1 : 0;
@@ -108,11 +115,12 @@ Shortcut tree_restricted_shortcut(const PartCollection& pc,
         walk.push_back(cur);
       }
     }
-    by_depth.assign(walk.begin(), walk.end());
-    std::sort(by_depth.begin(), by_depth.end(), [&](NodeId a, NodeId b) {
-      return tree.depth[a] > tree.depth[b];
-    });
-    for (NodeId c : by_depth) below[tree.parent[c]] += below[c];
+    for (std::size_t w = walk_start.size(), end = walk.size(); w-- > 0;) {
+      for (std::size_t k = walk_start[w]; k < end; ++k) {
+        below[tree.parent[walk[k]]] += below[walk[k]];
+      }
+      end = walk_start[w];
+    }
     std::vector<EdgeId> h;
     for (NodeId c : walk) {
       if (below[c] < members) h.push_back(tree.parent_edge[c]);

@@ -111,8 +111,8 @@ struct AggregationOutcome {
 ///     message fails verification at the receiver, behaving exactly like a
 ///     drop (retransmitted; counted in corrupt_detected). With integrity
 ///     off, the perturbed payload silently enters the convergecast fold
-///     (counted in corrupt_delivered) — the scenario the verify layer's
-///     certificates exist to catch;
+///     (counted in corrupt_delivered); ShortcutPaOracle::measure catches it
+///     by cross-checking every result against the sequential fold;
 ///   * a phase that exceeds FaultConfig::round_limit throws ChaosAbortError
 ///     carrying the partial round accounting.
 /// All fault handling is gated on `faults != nullptr` and consumes nothing

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "obs/metrics.hpp"
+#include "util/assert.hpp"
 #include "util/random.hpp"
 
 namespace dls {
@@ -270,145 +270,6 @@ std::vector<std::size_t> FaultPlan::reorder_permutation(std::uint64_t round,
   record(FaultKind::kReorder, round, subject,
          static_cast<std::uint32_t>(count));
   return perm;
-}
-
-// --- FaultyNetwork ---------------------------------------------------------
-
-FaultyNetwork::FaultyNetwork(const Graph& g, FaultPlan* plan)
-    : net_(g),
-      plan_(plan),
-      inboxes_(g.num_nodes()),
-      inbox_epoch_(g.num_nodes(), 0) {}
-
-void FaultyNetwork::send(const CongestMessage& message) {
-  DLS_REQUIRE(message.edge < graph().num_edges(), "unknown edge");
-  if (plan_ != nullptr) {
-    const std::uint64_t round = net_.rounds();
-    const bool sender_down = plan_->node_crashed(round, message.from);
-    const bool edge_down = plan_->link_down(round, message.edge);
-    if (sender_down || edge_down) {
-      if (plan_->config().down_send == FaultConfig::DownSendPolicy::kThrow) {
-        throw std::invalid_argument(
-            sender_down ? "send from a crashed node (down_send = kThrow)"
-                        : "send over a down link (down_send = kThrow)");
-      }
-      ++suppressed_sends_;
-      return;  // swallowed at the source; the slot stays free
-    }
-  }
-  net_.send(message);
-}
-
-void FaultyNetwork::deliver(const CongestMessage& message) {
-  const std::uint64_t round = net_.rounds();
-  if (plan_ != nullptr && plan_->node_crashed(round, message.to)) {
-    ++dropped_;
-    return;
-  }
-  if (inbox_epoch_[message.to] != round) {
-    inbox_epoch_[message.to] = round;
-    inboxes_[message.to].clear();
-    touched_.push_back(message.to);
-  }
-  inboxes_[message.to].push_back(message);
-}
-
-void FaultyNetwork::step() {
-  net_.step();
-  const std::uint64_t round = net_.rounds();
-  touched_.clear();
-  // Held (delayed / duplicate) copies due this round land first, in the
-  // order they were put in flight — deterministic, like everything here.
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < held_.size(); ++i) {
-    if (held_[i].due <= round) {
-      deliver(held_[i].msg);
-    } else {
-      if (kept != i) held_[kept] = held_[i];
-      ++kept;
-    }
-  }
-  held_.resize(kept);
-  for (NodeId v = 0; v < graph().num_nodes(); ++v) {
-    for (const CongestMessage& m : net_.inbox(v)) {
-      if (plan_ == nullptr) {
-        deliver(m);
-        continue;
-      }
-      const Edge& edge = graph().edge(m.edge);
-      const std::size_t s =
-          2 * static_cast<std::size_t>(m.edge) + (m.from == edge.v ? 1 : 0);
-      const MessageFate fate = plan_->message_fate(round, s, m.from, m.to);
-      if (fate.dropped) {
-        ++dropped_;
-        continue;
-      }
-      CongestMessage msg = m;
-      if (fate.corrupted) {
-        msg.payload = corrupt_payload(msg.payload, fate.corrupt_mask);
-        static MetricCounter& injected =
-            MetricsRegistry::global().counter("net.corrupt.injected");
-        injected.increment();
-        if (!integrity_ok(msg)) {
-          // Checksummed sender: the receiver's verification fails, so the
-          // whole transmission (clones included) is discarded — detected
-          // corruption behaves exactly like a drop, and the sender's
-          // ack/retry loop retransmits.
-          ++corrupt_detected_;
-          ++dropped_;
-          static MetricCounter& detected =
-              MetricsRegistry::global().counter("net.corrupt.detected");
-          detected.increment();
-          continue;
-        }
-        // Unchecksummed: silent data corruption. The message plane delivers
-        // the perturbed payload verbatim; only the verify layer can tell.
-        ++corrupt_delivered_;
-        static MetricCounter& delivered =
-            MetricsRegistry::global().counter("net.corrupt.delivered");
-        delivered.increment();
-      }
-      if (fate.duplicated) {
-        ++duplicated_;
-        held_.push_back({round + fate.delay + 1, msg});
-      }
-      if (fate.delay > 0) {
-        ++delayed_;
-        held_.push_back({round + fate.delay, msg});
-      } else {
-        deliver(msg);
-      }
-    }
-  }
-  if (plan_ != nullptr && plan_->config().reorder) {
-    for (NodeId v : touched_) {
-      std::vector<CongestMessage>& box = inboxes_[v];
-      const std::vector<std::size_t> perm =
-          plan_->reorder_permutation(round, v, box.size());
-      if (perm.empty()) continue;
-      std::vector<CongestMessage> shuffled(box.size());
-      for (std::size_t i = 0; i < box.size(); ++i) shuffled[i] = box[perm[i]];
-      box.swap(shuffled);
-    }
-  }
-}
-
-const std::vector<CongestMessage>& FaultyNetwork::inbox(NodeId v) const {
-  DLS_REQUIRE(v < inboxes_.size(), "node id out of range");
-  static const std::vector<CongestMessage> kEmpty;
-  if (plan_ != nullptr && plan_->node_crashed(net_.rounds(), v)) return kEmpty;
-  if (inbox_epoch_[v] != net_.rounds()) return kEmpty;
-  return inboxes_[v];
-}
-
-bool FaultyNetwork::node_up(NodeId v) const {
-  DLS_REQUIRE(v < inboxes_.size(), "node id out of range");
-  return plan_ == nullptr || !plan_->node_crashed(net_.rounds(), v);
-}
-
-bool FaultyNetwork::link_up(EdgeId e) const {
-  DLS_REQUIRE(e < graph().num_edges(), "edge id out of range");
-  return plan_ == nullptr || !plan_->link_down(net_.rounds(), e);
 }
 
 }  // namespace dls

@@ -16,8 +16,8 @@
 // events, greedily delete subsets, and replay until a minimal failing list
 // remains (tests/chaos_harness.hpp).
 //
-// Epochs delimit independent phases: a consumer (the aggregation scheduler,
-// a protocol loop) calls begin_epoch() at each phase start, and each phase's
+// Epochs delimit independent phases: the consumer (the aggregation
+// scheduler) calls begin_epoch() at each phase start, and each phase's
 // local round counter restarts at 1. The `horizon` config bounds the rounds
 // (per epoch) in which message faults fire — beyond it the network is clean,
 // which is the "eventual delivery" guarantee retry loops rely on to
@@ -32,11 +32,11 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "sim/round_ledger.hpp"
-#include "sim/sync_network.hpp"
 
 namespace dls {
 
@@ -96,14 +96,11 @@ struct FaultConfig {
   /// fires on a message that was already dropped.
   double corrupt_rate = 0.0;
 
-  /// Opt-in payload integrity for consumers that simulate messages without
-  /// materialising CongestMessage structs (the aggregation scheduler). With
-  /// integrity on, every transmission ships one extra checksum word — the
-  /// message occupies its directed slot for 2 rounds instead of 1 — and a
-  /// corrupted payload fails verification at the receiver, which discards it
-  /// exactly like a drop (the sender retransmits). Message-level consumers
-  /// (FaultyNetwork) opt in per message instead, via
-  /// CongestMessage::checksummed / with_integrity (sim/sync_network.hpp).
+  /// Opt-in payload integrity for the aggregation scheduler. With integrity
+  /// on, every transmission ships one extra checksum word — the message
+  /// occupies its directed slot for 2 rounds instead of 1 — and a corrupted
+  /// payload fails verification at the receiver, which discards it exactly
+  /// like a drop (the sender retransmits).
   bool integrity = false;
 
   /// Message faults only fire in phase-local rounds 1..horizon (crash/flap
@@ -116,11 +113,6 @@ struct FaultConfig {
   /// Fault-tolerant phase loops abort (ChaosAbortError) once a phase exceeds
   /// this many rounds instead of livelocking.
   std::uint64_t round_limit = std::uint64_t{1} << 20;
-
-  /// What FaultyNetwork::send() does when the sender is crashed or the link
-  /// is down: count and swallow the message, or throw std::invalid_argument.
-  enum class DownSendPolicy : std::uint8_t { kSilentDrop, kThrow };
-  DownSendPolicy down_send = DownSendPolicy::kSilentDrop;
 };
 
 /// What the plan decided for one message consultation.
@@ -237,88 +229,6 @@ class ChaosAbortError : public std::runtime_error {
 
  private:
   RoundLedger ledger_;
-};
-
-/// SyncNetwork with a FaultPlan between the wire and the inboxes.
-//
-// send() still enforces every CONGEST capacity rule (a dropped message
-// occupied its slot — the adversary eats messages, it does not refund
-// bandwidth). Faults apply at delivery time: each message due this round is
-// consulted once and then dropped, delayed, duplicated, or delivered;
-// messages to a crashed node are dropped; a crashed node's inbox reads
-// empty. Sends from a crashed node or over a down link are policed by
-// FaultConfig::down_send (silent drop or throw) *at the source*, without
-// occupying the slot.
-//
-// With a null plan the wrapper is transparent: identical inboxes, rounds,
-// and metrics as the wrapped SyncNetwork (pinned by test_fault_injection).
-//
-// step() costs O(n + deliveries) — the fault layer scans every inbox — so
-// this wrapper is for tests and chaos runs, not the hot schedulers (those
-// consult the FaultPlan directly; see sim/aggregation_scheduler.hpp).
-class FaultyNetwork {
- public:
-  explicit FaultyNetwork(const Graph& g, FaultPlan* plan = nullptr);
-
-  /// Queues a message for the current round (see SyncNetwork::send).
-  /// Additionally consults the plan: a crashed sender or a down link either
-  /// swallows the message (kSilentDrop; counted in suppressed_sends) or
-  /// throws std::invalid_argument (kThrow).
-  void send(const CongestMessage& message);
-
-  /// Advances one round: steps the wire, then filters deliveries through the
-  /// plan (drop / delay / duplicate / reorder; crashed receivers lose their
-  /// mail) into this wrapper's own epoch-stamped inboxes.
-  void step();
-
-  /// Messages delivered to `v` in the most recent step. A node that is
-  /// crashed this round reads an empty inbox (its mail was dropped, not
-  /// queued). Throws std::invalid_argument for out-of-range ids — including
-  /// at round 0, before any step(), where every inbox is defined and empty.
-  const std::vector<CongestMessage>& inbox(NodeId v) const;
-
-  void attach_metrics(NetworkMetrics* metrics) { net_.attach_metrics(metrics); }
-  std::uint64_t rounds() const { return net_.rounds(); }
-  std::uint64_t messages_sent() const { return net_.messages_sent(); }
-  const Graph& graph() const { return net_.graph(); }
-  FaultPlan* plan() const { return plan_; }
-
-  /// True iff `v` / `e` is up at the current round (always true, null plan).
-  bool node_up(NodeId v) const;
-  bool link_up(EdgeId e) const;
-
-  // Fault observability.
-  std::uint64_t dropped() const { return dropped_; }
-  std::uint64_t duplicated() const { return duplicated_; }
-  std::uint64_t delayed() const { return delayed_; }
-  std::uint64_t suppressed_sends() const { return suppressed_sends_; }
-  /// Corrupted transmissions whose receiver-side checksum verification
-  /// failed (checksummed messages only); each is treated as a drop, feeding
-  /// whatever ack/retry loop the sender runs above the message plane.
-  std::uint64_t corrupt_detected() const { return corrupt_detected_; }
-  /// Corrupted payloads delivered verbatim (unchecksummed messages): silent
-  /// data corruption the message plane cannot see — the verify layer's job.
-  std::uint64_t corrupt_delivered() const { return corrupt_delivered_; }
-
- private:
-  void deliver(const CongestMessage& message);
-
-  SyncNetwork net_;
-  FaultPlan* plan_;
-  std::vector<std::vector<CongestMessage>> inboxes_;
-  std::vector<std::uint64_t> inbox_epoch_;
-  struct Held {
-    std::uint64_t due = 0;
-    CongestMessage msg;
-  };
-  std::vector<Held> held_;              // delayed + duplicate copies in flight
-  std::vector<NodeId> touched_;         // inboxes stamped this round
-  std::uint64_t dropped_ = 0;
-  std::uint64_t duplicated_ = 0;
-  std::uint64_t delayed_ = 0;
-  std::uint64_t suppressed_sends_ = 0;
-  std::uint64_t corrupt_detected_ = 0;
-  std::uint64_t corrupt_delivered_ = 0;
 };
 
 }  // namespace dls

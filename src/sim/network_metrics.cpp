@@ -41,15 +41,14 @@ void NetworkMetrics::end_phase(std::uint64_t rounds) {
   phase_open_ = false;
 }
 
-void NetworkMetrics::record_send(std::size_t slot, std::uint64_t round,
-                                 std::uint32_t words) {
+void NetworkMetrics::record_send(std::size_t slot, std::uint64_t round) {
   DLS_ASSERT(slot < slot_count_.size(),
              "NetworkMetrics slot out of range — reset() with enough slots");
   if (slot_epoch_[slot] != epoch_) {
     slot_epoch_[slot] = epoch_;
     slot_count_[slot] = 0;
   }
-  slot_count_[slot] += words;
+  ++slot_count_[slot];
   current_.peak_slot_messages = std::max(
       current_.peak_slot_messages, static_cast<std::size_t>(slot_count_[slot]));
   ++current_.messages;

@@ -1,13 +1,12 @@
 // Congestion observability for the message plane.
 //
-// Every simulator in this library moves messages through directed
-// (edge, direction) slots — SyncNetwork explicitly, the aggregation
-// scheduler through its per-slot queues. NetworkMetrics is the shared
-// counter layer both plug into: it keeps per-slot message counters, a
-// per-round message histogram, and per-phase peaks, all with O(1) cost per
+// The aggregation scheduler, the library's local-round engine, moves
+// messages through directed (edge, direction) slots, one queue per slot.
+// NetworkMetrics is the counter layer it feeds: per-slot message counters,
+// a per-round message histogram, and per-phase peaks, all with O(1) cost per
 // recorded message. Phase boundaries use epoch-stamped slot counters so
 // starting a new phase never pays an O(#slots) clear — the same trick the
-// simulators use for their inboxes and scratch buffers.
+// scheduler uses for its scratch buffers.
 //
 // The summaries feed RoundLedger entries, which is how a bench or the
 // Laplacian solver can report *where* congestion concentrates (the
@@ -59,7 +58,7 @@ class NetworkMetrics {
   };
 
   /// Re-arms the counters for a network with `num_slots` directed slots
-  /// (2 * num_edges for the simulators here). Keeps buffer capacity.
+  /// (2 * num_edges for the scheduler). Keeps buffer capacity.
   void reset(std::size_t num_slots);
 
   /// Opens a new phase; subsequent record_send calls accumulate into it.
@@ -70,10 +69,8 @@ class NetworkMetrics {
   void end_phase(std::uint64_t rounds);
 
   /// One message crossing `slot` during `round`. Rounds must be
-  /// non-decreasing within a phase (both simulators deliver in round order).
-  /// `words` is the slot occupancy of the payload in O(log n)-bit units.
-  void record_send(std::size_t slot, std::uint64_t round,
-                   std::uint32_t words = 1);
+  /// non-decreasing within a phase (the scheduler delivers in round order).
+  void record_send(std::size_t slot, std::uint64_t round);
 
   const std::vector<Phase>& phases() const { return phases_; }
   /// Congestion accumulated in the currently open phase.

@@ -101,7 +101,6 @@ const char* to_string(RecoveryAction action) {
     case RecoveryAction::kWatchdogRestart: return "watchdog-restart";
     case RecoveryAction::kWatchdogRefine: return "watchdog-refine";
     case RecoveryAction::kAbort: return "abort";
-    case RecoveryAction::kCertificateResolve: return "certificate-resolve";
   }
   return "?";
 }

@@ -43,7 +43,6 @@ enum class RecoveryAction : std::uint8_t {
   kWatchdogRestart,    // iteration restarted after a numerical anomaly
   kWatchdogRefine,     // iterative-refinement pass appended to a solve
   kAbort,              // recovery budget exhausted; solve degraded
-  kCertificateResolve,  // solve certificate rejected; solve re-attempted
 };
 
 const char* to_string(RecoveryAction action);

@@ -1,8 +1,8 @@
 // Deterministic sharded simulation runtime.
 //
 // A SimBatch executes many independent simulation scenarios — typically one
-// SyncNetwork / congested-PA / estimator instance per (graph, seed, ρ)
-// combination — across the workers of a ThreadPool, while keeping every
+// congested-PA / estimator instance per (graph, seed, ρ) combination —
+// across the workers of a ThreadPool, while keeping every
 // reported number bit-identical to a serial run:
 //
 //   * Each scenario gets a private Rng seeded from

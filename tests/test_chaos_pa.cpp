@@ -13,6 +13,7 @@
 #include "chaos_harness.hpp"
 #include "laplacian/pa_oracle.hpp"
 #include "obs/metrics.hpp"
+#include "resilience/solve_supervisor.hpp"
 
 namespace dls {
 namespace {
@@ -238,6 +239,48 @@ TEST(ChaosPa, OracleMeasurementSurvivesFaultPlan) {
     EXPECT_EQ(results[i], 2.0 * static_cast<double>(pc.parts[i].size()));
   }
   EXPECT_GT(oracle.ledger().total_local(), 0u);
+}
+
+// Without integrity words a corrupted payload perturbs the convergecast fold.
+// The shortcut oracle's cross-check against the sequential fold is what
+// catches it: the measurement aborts typed instead of pricing a wrong run,
+// and the supervisor ladder turns the abort into exact results.
+TEST(ChaosPa, FoldCrossCheckCatchesUncheckedCorruption) {
+  Rng graph_rng(42);
+  const Graph g = make_grid(6, 6);
+  const PartCollection pc = stacked_voronoi_instance(g, 3, 2, graph_rng);
+  std::vector<std::vector<double>> values(pc.num_parts());
+  for (std::size_t i = 0; i < pc.num_parts(); ++i) {
+    values[i].assign(pc.parts[i].size(), 2.0);
+  }
+  FaultConfig config;
+  config.corrupt_rate = 1.0;  // every word of the first `horizon` rounds
+
+  FaultPlan plan(/*seed=*/9, config);
+  Rng oracle_rng(1001);
+  ShortcutPaOracle oracle(g, oracle_rng);
+  oracle.set_fault_plan(&plan);
+  try {
+    oracle.aggregate_once(pc, values, AggregationMonoid::sum());
+    ADD_FAILURE() << "a corrupted fold was priced as a clean run";
+  } catch (const ChaosAbortError& e) {
+    EXPECT_NE(std::string(e.what()).find("disagrees with sequential fold"),
+              std::string::npos)
+        << e.what();
+  }
+
+  FaultPlan supervised_plan(/*seed=*/9, config);
+  Rng primary_rng(1001);
+  ShortcutPaOracle primary(g, primary_rng);
+  primary.set_fault_plan(&supervised_plan);
+  SupervisedPaOracle supervised(primary);  // kDegrade: the full ladder
+  const std::vector<double> results =
+      supervised.aggregate_once(pc, values, AggregationMonoid::sum());
+  for (std::size_t i = 0; i < pc.num_parts(); ++i) {
+    EXPECT_EQ(results[i], 2.0 * static_cast<double>(pc.parts[i].size()));
+  }
+  EXPECT_TRUE(supervised.degraded());
+  EXPECT_GT(supervised.counters().retries, 0u);
 }
 
 // End-to-end repro pipeline: a case that genuinely fails (permanent loss +

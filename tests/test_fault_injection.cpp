@@ -5,7 +5,6 @@
 
 #include "graph/generators.hpp"
 #include "sim/fault_injection.hpp"
-#include "sim/sync_network.hpp"
 
 namespace dls {
 namespace {
@@ -187,159 +186,6 @@ TEST(FaultPlan, ResetRestoresConstructedState) {
   EXPECT_TRUE(plan.injected().empty());
 }
 
-// --- SyncNetwork: defined edge-case behaviour (satellite) ------------------
-
-TEST(SyncNetwork, InboxDefinedBeforeFirstStep) {
-  const Graph g = make_path(3);
-  SyncNetwork net(g);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_TRUE(net.inbox(v).empty());
-  }
-}
-
-TEST(SyncNetwork, InboxOutOfRangeThrows) {
-  const Graph g = make_path(3);
-  SyncNetwork net(g);
-  EXPECT_THROW(net.inbox(3), std::invalid_argument);
-  net.step();
-  EXPECT_THROW(net.inbox(static_cast<NodeId>(-1)), std::invalid_argument);
-}
-
-// --- FaultyNetwork ---------------------------------------------------------
-
-TEST(FaultyNetwork, NullPlanIsTransparent) {
-  const Graph g = make_grid(3, 3);
-  SyncNetwork plain(g);
-  FaultyNetwork faulty(g, nullptr);
-  Rng rng(11);
-  for (int round = 0; round < 5; ++round) {
-    for (const Edge& e : g.edges()) {
-      if (!rng.next_bool(0.6)) continue;
-      const EdgeId id = static_cast<EdgeId>(&e - g.edges().data());
-      const CongestMessage m{e.u, e.v, id, rng(), rng.next_double(), 1};
-      plain.send(m);
-      faulty.send(m);
-    }
-    plain.step();
-    faulty.step();
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      const auto& a = plain.inbox(v);
-      const auto& b = faulty.inbox(v);
-      ASSERT_EQ(a.size(), b.size()) << "node " << v;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].from, b[i].from);
-        EXPECT_EQ(a[i].tag, b[i].tag);
-        EXPECT_EQ(a[i].payload, b[i].payload);
-      }
-    }
-  }
-  EXPECT_EQ(plain.rounds(), faulty.rounds());
-  EXPECT_EQ(plain.messages_sent(), faulty.messages_sent());
-  EXPECT_EQ(faulty.dropped() + faulty.duplicated() + faulty.delayed() +
-                faulty.suppressed_sends(),
-            0u);
-}
-
-TEST(FaultyNetwork, DropLosesTheMessageAndCounts) {
-  const Graph g = make_path(2);
-  // slot 0 = edge 0 in the u->v direction; delivery round of the first
-  // step() is 1, so the replayed drop targets (epoch 0, round 1, slot 0).
-  FaultPlan plan = FaultPlan::replay(1, {{FaultKind::kDrop, 0, 1, 0, 0}});
-  FaultyNetwork net(g, &plan);
-  net.send({0, 1, 0, 5, 2.5, 1});
-  net.step();
-  EXPECT_TRUE(net.inbox(1).empty());
-  EXPECT_EQ(net.dropped(), 1u);
-  EXPECT_EQ(net.messages_sent(), 1u);  // the adversary does not refund sends
-}
-
-TEST(FaultyNetwork, DelayedMessageArrivesLater) {
-  const Graph g = make_path(2);
-  FaultPlan plan = FaultPlan::replay(1, {{FaultKind::kDelay, 0, 1, 0, 2}});
-  FaultyNetwork net(g, &plan);
-  net.send({0, 1, 0, 5, 2.5, 1});
-  net.step();  // round 1: held
-  EXPECT_TRUE(net.inbox(1).empty());
-  net.step();  // round 2: still held
-  EXPECT_TRUE(net.inbox(1).empty());
-  net.step();  // round 3 = 1 + delay: delivered
-  ASSERT_EQ(net.inbox(1).size(), 1u);
-  EXPECT_EQ(net.inbox(1)[0].payload, 2.5);
-  EXPECT_EQ(net.delayed(), 1u);
-}
-
-TEST(FaultyNetwork, DuplicateDeliversAnExtraCopyNextRound) {
-  const Graph g = make_path(2);
-  FaultPlan plan = FaultPlan::replay(1, {{FaultKind::kDuplicate, 0, 1, 0, 0}});
-  FaultyNetwork net(g, &plan);
-  net.send({0, 1, 0, 5, 2.5, 1});
-  net.step();
-  ASSERT_EQ(net.inbox(1).size(), 1u);
-  net.step();
-  ASSERT_EQ(net.inbox(1).size(), 1u);  // the extra copy
-  EXPECT_EQ(net.inbox(1)[0].tag, 5u);
-  EXPECT_EQ(net.duplicated(), 1u);
-}
-
-TEST(FaultyNetwork, CrashedReceiverLosesMailAndReadsEmpty) {
-  const Graph g = make_path(2);
-  FaultPlan plan = FaultPlan::replay(1, {{FaultKind::kCrash, 0, 1, 1, 2}});
-  FaultyNetwork net(g, &plan);
-  EXPECT_TRUE(net.node_up(1));  // the crash window starts at round 1, not 0
-  net.send({0, 1, 0, 5, 2.5, 1});
-  net.step();  // round 1: node 1 crashed
-  EXPECT_FALSE(net.node_up(1));
-  EXPECT_TRUE(net.inbox(1).empty());
-  EXPECT_EQ(net.dropped(), 1u);
-  net.step();  // round 2: still crashed
-  EXPECT_FALSE(net.node_up(1));
-  net.step();  // round 3: recovered; mail was dropped, not queued
-  EXPECT_TRUE(net.node_up(1));
-  EXPECT_TRUE(net.inbox(1).empty());
-}
-
-TEST(FaultyNetwork, SendFromCrashedNodeSilentDropPolicy) {
-  const Graph g = make_path(2);
-  FaultConfig config;  // default down_send = kSilentDrop
-  FaultPlan plan = FaultPlan::replay(1, {{FaultKind::kCrash, 0, 0, 0, 1}},
-                                     config);
-  FaultyNetwork net(g, &plan);
-  net.send({0, 1, 0, 5, 2.5, 1});  // consulted at round 0: sender is down
-  EXPECT_EQ(net.suppressed_sends(), 1u);
-  EXPECT_EQ(net.messages_sent(), 0u);
-  // The slot was never occupied, so a second send this round is legal.
-  net.send({0, 1, 0, 6, 1.0, 1});
-  EXPECT_EQ(net.suppressed_sends(), 2u);
-}
-
-TEST(FaultyNetwork, SendOverDownLinkThrowPolicy) {
-  const Graph g = make_path(2);
-  FaultConfig config;
-  config.down_send = FaultConfig::DownSendPolicy::kThrow;
-  FaultPlan plan = FaultPlan::replay(1, {{FaultKind::kLinkDown, 0, 0, 0, 2}},
-                                     config);
-  FaultyNetwork net(g, &plan);
-  EXPECT_FALSE(net.link_up(0));
-  EXPECT_THROW(net.send({0, 1, 0, 5, 2.5, 1}), std::invalid_argument);
-  net.step();
-  net.step();  // flap window (rounds 0..1) over
-  EXPECT_TRUE(net.link_up(0));
-  net.send({0, 1, 0, 5, 2.5, 1});
-  net.step();
-  ASSERT_EQ(net.inbox(1).size(), 1u);
-}
-
-TEST(FaultyNetwork, InboxDefinedPreStepAndOutOfRangeThrows) {
-  const Graph g = make_path(3);
-  FaultyNetwork net(g, nullptr);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_TRUE(net.inbox(v).empty());
-  }
-  EXPECT_THROW(net.inbox(3), std::invalid_argument);
-  EXPECT_THROW(net.node_up(3), std::invalid_argument);
-  EXPECT_THROW(net.link_up(2), std::invalid_argument);
-}
-
 // --- FaultKind naming (satellite: exhaustive, round-trips) -----------------
 
 TEST(FaultKind, ToStringIsExhaustiveAndRoundTrips) {
@@ -416,106 +262,6 @@ TEST(FaultPlan, CorruptNeverFiresOnDroppedMessages) {
   for (const FaultEvent& e : plan.injected()) {
     EXPECT_NE(e.kind, FaultKind::kCorrupt);
   }
-}
-
-// --- Message integrity (sync_network) --------------------------------------
-
-TEST(MessageIntegrity, WithIntegrityChargesAWordAndVerifies) {
-  const CongestMessage plain{0, 1, 0, 7, 3.5, 1};
-  EXPECT_TRUE(integrity_ok(plain));  // unchecksummed messages always pass
-  const CongestMessage sealed = with_integrity(plain);
-  EXPECT_TRUE(sealed.checksummed);
-  EXPECT_EQ(sealed.words, plain.words + 1);  // the checksum word is bandwidth
-  EXPECT_TRUE(integrity_ok(sealed));
-  CongestMessage tampered = sealed;
-  tampered.payload = corrupt_payload(tampered.payload, 0x4);
-  EXPECT_FALSE(integrity_ok(tampered));
-  CongestMessage retagged = sealed;
-  retagged.tag ^= 1;  // the digest covers the tag, not just the payload
-  EXPECT_FALSE(integrity_ok(retagged));
-}
-
-TEST(FaultyNetwork, UncheckedCorruptionIsDeliveredSilently) {
-  const Graph g = make_path(2);
-  FaultPlan plan =
-      FaultPlan::replay(1, {{FaultKind::kCorrupt, 0, 1, 0, 0x10}});
-  FaultyNetwork net(g, &plan);
-  net.send({0, 1, 0, 5, 2.5, 1});
-  net.step();
-  ASSERT_EQ(net.inbox(1).size(), 1u);
-  EXPECT_EQ(net.inbox(1)[0].payload, corrupt_payload(2.5, 0x10));
-  EXPECT_EQ(net.corrupt_delivered(), 1u);
-  EXPECT_EQ(net.corrupt_detected(), 0u);
-  EXPECT_EQ(net.dropped(), 0u);
-}
-
-TEST(FaultyNetwork, ChecksummedCorruptionIsDetectedAndDropped) {
-  const Graph g = make_path(2);
-  // The checksum word makes the message 2 words wide, so it is delivered
-  // (and its fate consulted) at round 2.
-  FaultPlan plan =
-      FaultPlan::replay(1, {{FaultKind::kCorrupt, 0, 2, 0, 0x10}});
-  FaultyNetwork net(g, &plan);
-  net.send(with_integrity({0, 1, 0, 5, 2.5, 1}));
-  net.step();
-  net.step();
-  EXPECT_TRUE(net.inbox(1).empty());  // quarantined at the receiver
-  EXPECT_EQ(net.corrupt_detected(), 1u);
-  EXPECT_EQ(net.corrupt_delivered(), 0u);
-  EXPECT_EQ(net.dropped(), 1u);  // feeds the same retry path as a drop
-}
-
-TEST(FaultyNetwork, CorruptedCloneFailsVerificationToo) {
-  const Graph g = make_path(2);
-  // Corrupt + duplicate the same transmission (2-word frame, so its fate is
-  // consulted at round 2): detection happens before duplication, so no
-  // perturbed clone ever enters the held queue — both rounds stay empty.
-  FaultPlan plan = FaultPlan::replay(1, {{FaultKind::kDuplicate, 0, 2, 0, 0},
-                                         {FaultKind::kCorrupt, 0, 2, 0, 0x8}});
-  FaultyNetwork net(g, &plan);
-  net.send(with_integrity({0, 1, 0, 5, 2.5, 1}));
-  net.step();
-  net.step();
-  EXPECT_TRUE(net.inbox(1).empty());
-  net.step();  // the would-be clone's due round
-  EXPECT_TRUE(net.inbox(1).empty());
-  EXPECT_EQ(net.corrupt_detected(), 1u);
-  EXPECT_EQ(net.duplicated(), 0u);
-}
-
-TEST(FaultyNetwork, ReorderPermutesDeliveryBatch) {
-  // A star delivers several same-round messages to the hub; with reorder on
-  // and a fixed seed, some round's batch must arrive permuted relative to
-  // the fault-free order.
-  const Graph g = make_star(6);  // node 0 is the hub
-  FaultConfig config;
-  config.reorder = true;
-  FaultPlan plan(0xD00D, config);
-  FaultyNetwork net(g, &plan);
-  SyncNetwork plain(g);
-  bool permuted = false;
-  for (int round = 0; round < 8 && !permuted; ++round) {
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      const CongestMessage m{g.edge(e).v, 0, e,
-                             static_cast<std::uint64_t>(e), 1.0, 1};
-      net.send(m);
-      plain.send(m);
-    }
-    net.step();
-    plain.step();
-    const auto& a = plain.inbox(0);
-    const auto& b = net.inbox(0);
-    ASSERT_EQ(a.size(), b.size());
-    std::vector<std::uint64_t> tags_a, tags_b;
-    for (const CongestMessage& m : a) tags_a.push_back(m.tag);
-    for (const CongestMessage& m : b) tags_b.push_back(m.tag);
-    std::vector<std::uint64_t> sa = tags_a, sb = tags_b;
-    std::sort(sa.begin(), sa.end());
-    std::sort(sb.begin(), sb.end());
-    EXPECT_EQ(sa, sb);  // same multiset, possibly different order
-    permuted |= tags_a != tags_b;
-  }
-  EXPECT_TRUE(permuted) << "reorder never fired across 8 rounds";
 }
 
 }  // namespace

@@ -390,78 +390,6 @@ TEST(Supervisor, RecoveryTraceReplaysFromSeed) {
   EXPECT_NE(a.total_local(), c.total_local());  // jitter decorrelates
 }
 
-// --- Certificate failures feed the escalation ladder -----------------------
-
-TEST(Supervisor, CertificateFailureWithinBudgetBumpsRetryTier) {
-  const Graph g = make_path(8);
-  FlakyOracle flaky(g, 0);  // healthy primary: only certificates complain
-  SupervisedPaOracle sup(flaky);  // certificate_failure_budget = 1
-  EXPECT_FALSE(sup.note_certificate_failure(3, 12, "checksum mismatch"));
-  EXPECT_EQ(sup.certificate_failures(), 1u);
-  EXPECT_EQ(sup.tier(), EscalationTier::kRetry);
-  EXPECT_FALSE(sup.degraded());
-  const RecoveryCounters counters = sup.counters();
-  EXPECT_EQ(counters.certificate_resolves, 1u);
-  EXPECT_EQ(counters.degradations, 0u);
-  // Same rung of the ladder as a retry — a different detector, not a new
-  // escalation level.
-  EXPECT_EQ(highest_tier(sup.ledger()), EscalationTier::kRetry);
-  // The event carries everything a postmortem needs.
-  ASSERT_EQ(sup.ledger().recovery_events().size(), 1u);
-  const RecoveryEvent& e = sup.ledger().recovery_events()[0];
-  EXPECT_EQ(e.action, RecoveryAction::kCertificateResolve);
-  EXPECT_EQ(e.subject, 3u);
-  EXPECT_EQ(e.attempt, 1u);
-  EXPECT_EQ(e.rounds_lost, 12u);
-  EXPECT_EQ(e.detail, "checksum mismatch");
-}
-
-TEST(Supervisor, CertificateBudgetExhaustionDegradesSticky) {
-  const Graph g = make_path(8);
-  FlakyOracle flaky(g, 0);
-  SupervisedPaOracle sup(flaky);  // budget 1
-  EXPECT_FALSE(sup.note_certificate_failure(0, 1, "first"));
-  EXPECT_TRUE(sup.note_certificate_failure(0, 1, "second"));  // 2 > budget
-  EXPECT_TRUE(sup.degraded());
-  EXPECT_EQ(sup.tier(), EscalationTier::kDegrade);
-  EXPECT_EQ(sup.counters().certificate_resolves, 2u);
-  EXPECT_EQ(sup.counters().degradations, 1u);
-  bool saw_budget_detail = false;
-  for (const RecoveryEvent& e : sup.ledger().recovery_events()) {
-    saw_budget_detail |=
-        e.action == RecoveryAction::kDegrade &&
-        e.detail.find("certificate failure budget exhausted") !=
-            std::string::npos;
-  }
-  EXPECT_TRUE(saw_budget_detail);
-  // Sticky: further failures report degraded without a second degrade event.
-  EXPECT_TRUE(sup.note_certificate_failure(0, 1, "third"));
-  EXPECT_EQ(sup.counters().degradations, 1u);
-  // And the primary is no longer consulted — PA calls serve exactly from
-  // the baseline fallback.
-  const PartCollection pc = whole_graph_part(g);
-  const std::vector<double> results =
-      sup.aggregate_once(pc, twos(pc), AggregationMonoid::sum());
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0], 16.0);
-  EXPECT_EQ(flaky.measure_calls(), 0u);
-}
-
-TEST(Supervisor, CertificateFailuresNeverDegradeOutsideDegradeMode) {
-  const Graph g = make_path(8);
-  FlakyOracle flaky(g, 0);
-  SupervisorConfig config;
-  config.mode = SupervisorMode::kRetry;
-  SupervisedPaOracle sup(flaky, config);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_FALSE(sup.note_certificate_failure(0, 1, "rejected"));
-  }
-  EXPECT_EQ(sup.certificate_failures(), 4u);
-  EXPECT_EQ(sup.tier(), EscalationTier::kRetry);
-  EXPECT_EQ(sup.counters().certificate_resolves, 4u);
-  EXPECT_EQ(sup.counters().degradations, 0u);
-}
-
 // --- Solver-level: supervised solves under fault injection -----------------
 
 LaplacianSolverOptions chain_options() {

@@ -3,152 +3,14 @@
 #include <set>
 
 #include "graph/generators.hpp"
+#include "sim/aggregation_scheduler.hpp"
 #include "sim/network_metrics.hpp"
 #include "sim/round_ledger.hpp"
 #include "sim/sim_batch.hpp"
-#include "sim/sync_network.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dls {
 namespace {
-
-TEST(SyncNetwork, DeliversSingleWordMessage) {
-  const Graph g = make_path(3);
-  SyncNetwork net(g);
-  net.send({0, 1, 0, 42, 3.5, 1});
-  net.step();
-  ASSERT_EQ(net.inbox(1).size(), 1u);
-  EXPECT_EQ(net.inbox(1)[0].tag, 42u);
-  EXPECT_DOUBLE_EQ(net.inbox(1)[0].payload, 3.5);
-  EXPECT_EQ(net.rounds(), 1u);
-}
-
-TEST(SyncNetwork, EnforcesPerEdgeDirectionCapacity) {
-  const Graph g = make_path(2);
-  SyncNetwork net(g);
-  net.send({0, 1, 0, 1, 0.0, 1});
-  EXPECT_THROW(net.send({0, 1, 0, 2, 0.0, 1}), std::invalid_argument);
-}
-
-TEST(SyncNetwork, OppositeDirectionsIndependent) {
-  const Graph g = make_path(2);
-  SyncNetwork net(g);
-  net.send({0, 1, 0, 1, 0.0, 1});
-  net.send({1, 0, 0, 2, 0.0, 1});  // other direction, same round: allowed
-  net.step();
-  EXPECT_EQ(net.inbox(0).size(), 1u);
-  EXPECT_EQ(net.inbox(1).size(), 1u);
-}
-
-TEST(SyncNetwork, ParallelEdgesCarrySeparateMessages) {
-  Graph g(2);
-  g.add_edge(0, 1);
-  g.add_edge(0, 1);
-  SyncNetwork net(g);
-  net.send({0, 1, 0, 1, 0.0, 1});
-  net.send({0, 1, 1, 2, 0.0, 1});
-  net.step();
-  EXPECT_EQ(net.inbox(1).size(), 2u);
-}
-
-TEST(SyncNetwork, MultiWordMessageOccupiesEdge) {
-  const Graph g = make_path(2);
-  SyncNetwork net(g);
-  net.send({0, 1, 0, 1, 0.0, 3});  // 3 words -> 3 rounds
-  net.step();
-  EXPECT_TRUE(net.inbox(1).empty());
-  EXPECT_THROW(net.send({0, 1, 0, 9, 0.0, 1}), std::invalid_argument);
-  net.step();
-  EXPECT_TRUE(net.inbox(1).empty());
-  net.step();
-  ASSERT_EQ(net.inbox(1).size(), 1u);
-  EXPECT_EQ(net.rounds(), 3u);
-}
-
-TEST(SyncNetwork, ValidatesEndpoints) {
-  const Graph g = make_path(3);
-  SyncNetwork net(g);
-  // Edge 0 connects nodes 0 and 1; claiming it reaches node 2 is an error.
-  EXPECT_THROW(net.send({0, 2, 0, 1, 0.0, 1}), std::invalid_argument);
-}
-
-TEST(SyncNetwork, RejectsSelfLoopMessage) {
-  const Graph g = make_path(2);
-  SyncNetwork net(g);
-  // from == to would alias both directions of the edge onto one busy slot.
-  EXPECT_THROW(net.send({0, 0, 0, 1, 0.0, 1}), std::invalid_argument);
-}
-
-TEST(SyncNetwork, MultiWordDeliversExactlyAtSendRoundPlusWords) {
-  const Graph g = make_path(2);
-  SyncNetwork net(g);
-  net.send({0, 1, 0, 7, 1.0, 2});  // queued at round 0 -> delivered at round 2
-  net.step();
-  EXPECT_TRUE(net.inbox(1).empty());
-  net.step();
-  ASSERT_EQ(net.inbox(1).size(), 1u);
-  EXPECT_EQ(net.inbox(1)[0].tag, 7u);
-  net.step();  // a later round without deliveries reads as empty again
-  EXPECT_TRUE(net.inbox(1).empty());
-}
-
-TEST(SyncNetwork, MultiWordBlocksSlotForExactlyWordsRounds) {
-  const Graph g = make_path(2);
-  SyncNetwork net(g);
-  net.send({0, 1, 0, 1, 0.0, 3});  // occupies rounds 0..2
-  EXPECT_THROW(net.send({0, 1, 0, 2, 0.0, 1}), std::invalid_argument);
-  net.step();
-  EXPECT_THROW(net.send({0, 1, 0, 3, 0.0, 1}), std::invalid_argument);
-  net.step();
-  EXPECT_THROW(net.send({0, 1, 0, 4, 0.0, 1}), std::invalid_argument);
-  net.step();  // round 3: slot is free again
-  net.send({0, 1, 0, 5, 0.0, 1});
-  net.step();
-  ASSERT_EQ(net.inbox(1).size(), 1u);
-  EXPECT_EQ(net.inbox(1)[0].tag, 5u);
-}
-
-TEST(SyncNetwork, PendingMultiWordSurvivesInterveningDeliveries) {
-  // Node 1 receives single-word traffic every round; the pending 3-word
-  // message must not be dropped by the per-round inbox turnover.
-  const Graph g = make_path(3);  // edges 0:(0,1) 1:(1,2)
-  SyncNetwork net(g);
-  net.send({0, 1, 0, 100, 0.0, 3});
-  net.send({2, 1, 1, 200, 0.0, 1});
-  net.step();
-  ASSERT_EQ(net.inbox(1).size(), 1u);
-  EXPECT_EQ(net.inbox(1)[0].tag, 200u);
-  net.send({2, 1, 1, 201, 0.0, 1});
-  net.step();
-  ASSERT_EQ(net.inbox(1).size(), 1u);
-  EXPECT_EQ(net.inbox(1)[0].tag, 201u);
-  net.send({2, 1, 1, 202, 0.0, 1});
-  net.step();  // round 3: multi-word arrives alongside this round's word
-  ASSERT_EQ(net.inbox(1).size(), 2u);
-  EXPECT_EQ(net.inbox(1)[0].tag, 100u);  // queued first, delivered first
-  EXPECT_EQ(net.inbox(1)[1].tag, 202u);
-}
-
-TEST(SyncNetwork, RecordsSendsIntoAttachedMetrics) {
-  const Graph g = make_path(3);
-  SyncNetwork net(g);
-  NetworkMetrics metrics;
-  metrics.reset(2 * g.num_edges());
-  net.attach_metrics(&metrics);
-  metrics.begin_phase("traffic");
-  net.send({0, 1, 0, 1, 0.0, 1});
-  net.send({2, 1, 1, 2, 0.0, 1});
-  net.step();
-  net.send({0, 1, 0, 3, 0.0, 1});
-  net.step();
-  metrics.end_phase(net.rounds());
-  ASSERT_EQ(metrics.phases().size(), 1u);
-  const auto& phase = metrics.phases()[0];
-  EXPECT_EQ(phase.rounds, 2u);
-  EXPECT_EQ(phase.congestion.messages, 3u);
-  EXPECT_EQ(phase.congestion.peak_slot_messages, 2u);  // slot of edge 0, 0->1
-  EXPECT_EQ(phase.congestion.peak_round_messages, 2u);
-}
 
 TEST(NetworkMetrics, PhaseBoundariesForgetSlotCounts) {
   NetworkMetrics metrics;
@@ -175,15 +37,6 @@ TEST(NetworkMetrics, PhaseBoundariesForgetSlotCounts) {
   EXPECT_EQ(metrics.round_histogram()[1], 2u);
   EXPECT_EQ(metrics.round_histogram()[2], 1u);
   EXPECT_EQ(metrics.round_histogram()[3], 1u);
-}
-
-TEST(SyncNetwork, CountsMessages) {
-  const Graph g = make_cycle(4);
-  SyncNetwork net(g);
-  net.send({0, 1, 0, 1, 0.0, 1});
-  net.send({2, 3, 2, 1, 0.0, 1});
-  net.step();
-  EXPECT_EQ(net.messages_sent(), 2u);
 }
 
 TEST(RoundLedger, AccumulatesAndLabels) {
@@ -248,26 +101,23 @@ TEST(SimBatch, ScenarioSeedsAreStableAndDistinct) {
 }
 
 namespace {
-/// A batch whose scenarios actually push messages through a SyncNetwork, so
-/// ledgers carry real round and congestion numbers worth comparing.
+/// A batch whose scenarios run real tree aggregations through the scheduler,
+/// so ledgers carry real round and congestion numbers worth comparing.
 SimBatch make_probe_batch() {
   SimBatch batch(/*root_seed=*/0xbadc0deULL);
   for (int s = 0; s < 12; ++s) {
     batch.add("probe" + std::to_string(s), [](Rng& rng, SimOutcome& out) {
       const Graph g = make_path(4 + rng.next_below(4));
-      SyncNetwork net(g);
-      NetworkMetrics metrics;
-      metrics.reset(2 * g.num_edges());
-      net.attach_metrics(&metrics);
-      metrics.begin_phase("probe");
-      const std::uint64_t steps = 1 + rng.next_below(3);
-      for (std::uint64_t r = 0; r < steps; ++r) {
-        net.send({0, 1, 0, r, rng.next_double(), 1});
-        net.step();
+      AggregationTree tree;
+      tree.root = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+      for (EdgeId e = 0; e < g.num_edges(); ++e) tree.edges.push_back(e);
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        tree.inputs.push_back({v, rng.next_double()});
       }
-      metrics.end_phase(net.rounds());
-      out.ledger.charge_local(net.rounds(), "probe", metrics.totals());
-      out.results = {static_cast<double>(net.messages_sent())};
+      const AggregationOutcome agg =
+          run_tree_aggregations(g, {tree}, AggregationMonoid::sum(), rng);
+      out.ledger.charge_local(agg.total_rounds, "probe", agg.congestion());
+      out.results = {agg.results[0], static_cast<double>(agg.messages)};
     });
   }
   return batch;

@@ -12,6 +12,7 @@
 // docs/OBSERVABILITY.md).
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -23,23 +24,24 @@
 
 namespace {
 
-std::vector<std::string> selected_families(const std::string& want) {
+std::vector<std::string> selected_families(const dls::Flags& flags) {
+  std::vector<std::string> choices(std::begin(dls::golden::kFamilies),
+                                   std::end(dls::golden::kFamilies));
+  choices.push_back("all");
+  const std::string want = flags.get_choice("family", "all", choices);
   if (want != "all") return {want};
-  std::vector<std::string> all;
-  for (const char* family : dls::golden::kFamilies) all.push_back(family);
-  return all;
+  choices.pop_back();
+  return choices;
 }
 
-std::vector<dls::PaModel> selected_models(const std::string& want) {
+std::vector<dls::PaModel> selected_models(const dls::Flags& flags) {
   using dls::PaModel;
+  const std::string want = flags.get_choice(
+      "model", "all", {"supported", "congest", "ncc", "all"});
   if (want == "supported") return {PaModel::kSupportedCongest};
   if (want == "congest") return {PaModel::kCongest};
   if (want == "ncc") return {PaModel::kNcc};
-  if (want == "all") {
-    return {PaModel::kSupportedCongest, PaModel::kCongest, PaModel::kNcc};
-  }
-  throw std::invalid_argument("unknown model '" + want +
-                              "' (expected supported|congest|ncc|all)");
+  return {PaModel::kSupportedCongest, PaModel::kCongest, PaModel::kNcc};
 }
 
 }  // namespace
@@ -47,8 +49,8 @@ std::vector<dls::PaModel> selected_models(const std::string& want) {
 int main(int argc, char** argv) {
   using namespace dls;
   const Flags flags(argc, argv, {"family", "model", "out", "metrics"});
-  const auto families = selected_families(flags.get("family", "all"));
-  const auto models = selected_models(flags.get("model", "all"));
+  const auto families = selected_families(flags);
+  const auto models = selected_models(flags);
   const std::string out_path = flags.get("out", "");
 
   // All selected cases run under one tracer, each wrapped in a scenario span,
